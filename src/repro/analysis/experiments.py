@@ -287,7 +287,8 @@ def run_fig5(
     """Regenerate Fig. 5 (full dataset unless ``n_patterns`` limits it).
 
     Both schemes run through the spec-driven batched pipeline
-    (:meth:`repro.api.Experiment.dataset_sweep`); ``jobs`` and ``backend``
+    (:meth:`repro.api.Experiment.dataset_sweep`) in one pass, so each
+    pattern is synthesised once for both; ``jobs`` and ``backend``
     shard the sweep across the execution runtime's workers
     (``backend="process"`` is the many-core path).  With a ``store``, a
     repeated run skips every already-evaluated pattern.
@@ -297,14 +298,10 @@ def run_fig5(
         ExperimentSpec.for_scheme("atc", ATCConfig(vth=vth)), store=store
     )
     datc = Experiment(ExperimentSpec.for_scheme("datc"), store=store)
-    return Fig5Result(
-        atc=atc.dataset_sweep(
-            dataset, limit=n_patterns, jobs=jobs, backend=backend
-        ),
-        datc=datc.dataset_sweep(
-            dataset, limit=n_patterns, jobs=jobs, backend=backend
-        ),
+    atc_result, datc_result = atc.dataset_sweep(
+        dataset, limit=n_patterns, jobs=jobs, backend=backend, alongside=(datc,)
     )
+    return Fig5Result(atc=atc_result, datc=datc_result)
 
 
 # ----------------------------------------------------------------------

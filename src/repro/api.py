@@ -50,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -616,23 +617,36 @@ def _noisy_encode_point(
 
 
 def _dataset_shard(
-    ids: np.ndarray, dataset: DatasetSpec, spec: ExperimentSpec
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Evaluate one contiguous shard of dataset patterns end to end.
+    shard: "tuple[np.ndarray, np.ndarray]",
+    dataset: DatasetSpec,
+    specs: "tuple[ExperimentSpec, ...]",
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Evaluate one contiguous shard of dataset patterns under several specs.
 
-    Generates the shard's patterns, runs the batched pipeline, and
-    returns only the per-pattern summary arrays (correlation %, event
-    counts) — the IPC payload of a multi-process dataset sweep stays a
-    few hundred bytes per shard instead of full traces/reconstructions.
-    Per-row results are bit-identical whatever the shard boundaries,
-    because every batched stage is bit-identical per row.
+    ``shard`` is ``(ids, need)``: the pattern ids and a boolean
+    ``(len(specs), len(ids))`` mask of which spec still needs which
+    pattern.  Each pattern is synthesised once, then every spec runs the
+    batched pipeline over the patterns it needs.  Returns, per spec, only
+    the summary arrays (correlation %, event counts) of those patterns —
+    the IPC payload of a multi-process dataset sweep stays a few hundred
+    bytes per shard instead of full traces/reconstructions.  Per-row
+    results are bit-identical whatever the shard boundaries or the mix
+    of patterns, because every batched stage is bit-identical per row.
     """
+    ids, need = shard
     patterns = [dataset.pattern(int(i)) for i in ids]
-    results = _run_patterns(spec, patterns)
-    return (
-        np.array([r.correlation_pct for r in results]),
-        np.array([r.n_events for r in results], dtype=np.int64),
-    )
+    parts = []
+    for spec, wanted in zip(specs, need):
+        results = _run_patterns(
+            spec, [p for p, w in zip(patterns, wanted) if w]
+        )
+        parts.append(
+            (
+                np.array([r.correlation_pct for r in results]),
+                np.array([r.n_events for r in results], dtype=np.int64),
+            )
+        )
+    return parts
 
 
 def _spec_key_worker(data: dict) -> str:
@@ -1003,7 +1017,9 @@ class Experiment:
         jobs: "int | None" = None,
         backend: "str | None" = None,
         shard_size: "int | None" = None,
-    ) -> DatasetSweepResult:
+        *,
+        alongside: "Sequence[Experiment]" = (),
+    ) -> "DatasetSweepResult | tuple[DatasetSweepResult, ...]":
         """Run the spec over (a prefix of) a dataset, sharded and cached.
 
         The pattern grid is split into contiguous shards
@@ -1020,61 +1036,87 @@ class Experiment:
         hashes the dataset's generating spec, not the samples, so a warm
         re-run performs **zero** re-evaluations (no synthesis, no encode,
         no decode).
+
+        ``alongside`` sweeps further experiments over the same patterns
+        in the same pass and returns ``(own result, *their results)``.
+        Each experiment keeps its own store, key, gets and puts; a
+        pattern is synthesised once if any experiment misses it, and each
+        experiment evaluates only its own misses.  The results equal
+        separate sweeps bit for bit.
         """
+        experiments = (self, *alongside)
+        for experiment in experiments[1:]:
+            if not isinstance(experiment, Experiment):
+                raise TypeError(
+                    "alongside must hold Experiment objects, got "
+                    f"{type(experiment).__name__}"
+                )
         n = dataset.n_patterns if limit is None else min(limit, dataset.n_patterns)
-        ids = np.arange(n)
-        corr = np.zeros(n)
-        events = np.zeros(n, dtype=np.int64)
-        todo = list(range(n))
-        if self.store is not None:
-            key = self.spec.key()
+        corrs = [np.zeros(n) for _ in experiments]
+        events = [np.zeros(n, dtype=np.int64) for _ in experiments]
+        need = np.ones((len(experiments), n), dtype=bool)
+        fingerprints: "list[str]" = []
+        if any(e.store is not None for e in experiments):
             base = dataset_fingerprint(dataset)  # hash the spec once, not n times
             fingerprints = [
                 dataset_point_fingerprint(base, i) for i in range(n)
             ]
-            todo = []
+        for k, experiment in enumerate(experiments):
+            if experiment.store is None:
+                continue
+            key = experiment.spec.key()
             for i in range(n):
-                cached = self.store.get(key, fingerprints[i])
-                if cached is None:
-                    todo.append(i)
-                else:
-                    corr[i] = float(cached["correlation_pct"])
-                    events[i] = int(cached["n_events"])
-        if todo:
-            todo_ids = np.asarray(todo)
+                cached = experiment.store.get(key, fingerprints[i])
+                if cached is not None:
+                    need[k, i] = False
+                    corrs[k][i] = float(cached["correlation_pct"])
+                    events[k][i] = int(cached["n_events"])
+        todo = np.flatnonzero(need.any(axis=0))
+        if todo.size:
             if resolve_backend(backend, jobs) == "serial":
-                shards = [slice(0, len(todo))]
+                shards = [slice(0, todo.size)]
             else:
                 shards = plan_shards(
-                    len(todo),
+                    todo.size,
                     jobs if jobs is not None else default_jobs(),
                     shard_size,
                 )
             parts = map_jobs(
-                partial(_dataset_shard, dataset=dataset, spec=self.spec),
-                [todo_ids[s] for s in shards],
+                partial(
+                    _dataset_shard,
+                    dataset=dataset,
+                    specs=tuple(e.spec for e in experiments),
+                ),
+                [(todo[s], need[:, todo[s]]) for s in shards],
                 jobs,
                 backend=backend,
                 shard_size=1,  # the pattern grid is already sharded
             )
-            corr[todo_ids] = np.concatenate([p[0] for p in parts])
-            events[todo_ids] = np.concatenate([p[1] for p in parts])
-            if self.store is not None:
-                for i in todo:
-                    self.store.put(
-                        key,
-                        fingerprints[i],
-                        {
-                            "correlation_pct": np.float64(corr[i]),
-                            "n_events": np.int64(events[i]),
-                        },
-                    )
-        return DatasetSweepResult(
-            scheme=self.spec.scheme,
-            pattern_ids=ids,
-            correlations_pct=corr,
-            n_events=events,
+            for k, experiment in enumerate(experiments):
+                missed = np.flatnonzero(need[k])
+                corrs[k][missed] = np.concatenate([p[k][0] for p in parts])
+                events[k][missed] = np.concatenate([p[k][1] for p in parts])
+                if experiment.store is not None:
+                    key = experiment.spec.key()
+                    for i in missed:
+                        experiment.store.put(
+                            key,
+                            fingerprints[i],
+                            {
+                                "correlation_pct": np.float64(corrs[k][i]),
+                                "n_events": np.int64(events[k][i]),
+                            },
+                        )
+        results = tuple(
+            DatasetSweepResult(
+                scheme=experiment.spec.scheme,
+                pattern_ids=np.arange(n),
+                correlations_pct=corrs[k],
+                n_events=events[k],
+            )
+            for k, experiment in enumerate(experiments)
         )
+        return results if len(results) > 1 else results[0]
 
     # ------------------------------------------------------------------
     # Link sweep

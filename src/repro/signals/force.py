@@ -128,23 +128,26 @@ def smooth_profile(profile: np.ndarray, fs: float, cutoff_hz: float = 2.0) -> np
     no phase lag (important: the ground truth used for correlation must be
     time-aligned with the sEMG it modulates).
     """
-    profile = np.asarray(profile, dtype=float)
-    if profile.size == 0:
-        return profile.copy()
+    if fs <= 0:
+        raise ValueError(f"fs must be positive, got {fs}")
     if cutoff_hz <= 0:
         raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
-    alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz / fs)
-    forward = np.empty_like(profile)
-    acc = profile[0]
-    for i, x in enumerate(profile):
-        acc += alpha * (x - acc)
-        forward[i] = acc
-    backward = np.empty_like(profile)
+    profile = np.asarray(profile, dtype=float)
+    if profile.ndim != 1:
+        raise ValueError(f"profile must be 1-D, got shape {profile.shape}")
+    if profile.size == 0:
+        return profile.copy()
+    # The recurrence runs on Python floats: the same IEEE double ops in
+    # the same order as on numpy scalars, so the same bits, without the
+    # per-sample numpy scalar overhead.
+    alpha = float(1.0 - np.exp(-2.0 * np.pi * cutoff_hz / fs))
+    values = profile.tolist()
+    acc = values[0]
+    forward = [acc := acc + alpha * (x - acc) for x in values]
     acc = forward[-1]
-    for i in range(profile.size - 1, -1, -1):
-        acc += alpha * (forward[i] - acc)
-        backward[i] = acc
-    return np.clip(backward, 0.0, 1.0)
+    backward = [acc := acc + alpha * (x - acc) for x in reversed(forward)]
+    backward.reverse()
+    return np.clip(np.array(backward), 0.0, 1.0)
 
 
 def mvc_grip_protocol(

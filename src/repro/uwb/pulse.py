@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
 
 __all__ = [
     "gaussian_derivative",
@@ -39,6 +38,8 @@ def gaussian_derivative(t: np.ndarray, tau: float, order: int = 5) -> np.ndarray
         raise ValueError(f"tau must be positive, got {tau}")
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
+    from scipy.special import eval_hermite  # deferred: keeps scipy out of ``import repro``
+
     t = np.asarray(t, dtype=float)
     u = t / (tau * np.sqrt(2.0))
     w = ((-1.0) ** order) * eval_hermite(order, u) * np.exp(-u * u)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["EnergyDetector", "detection_probability", "noise_psd_w_per_hz"]
 
@@ -46,6 +45,8 @@ def detection_probability(
         raise ValueError(f"time_bandwidth must be positive, got {time_bandwidth}")
     if not 0.0 < pfa < 1.0:
         raise ValueError(f"pfa must be in (0, 1), got {pfa}")
+    from scipy import stats  # deferred: keeps scipy out of ``import repro``
+
     dof = 2.0 * time_bandwidth
     threshold = stats.chi2.isf(pfa, dof)
     return float(stats.ncx2.sf(threshold, dof, 2.0 * es_over_n0))

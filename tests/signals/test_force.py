@@ -125,6 +125,24 @@ class TestSmoothProfile:
         with pytest.raises(ValueError):
             smooth_profile(np.zeros(10), FS, cutoff_hz=0.0)
 
+    @pytest.mark.parametrize("fs", [0.0, -2500.0])
+    def test_bad_fs_rejected(self, fs):
+        with pytest.raises(ValueError, match="fs"):
+            smooth_profile(ramp_profile(1.0, FS, 0.0, 0.7), fs)
+
+    def test_bad_cutoff_rejected_on_empty_input(self):
+        with pytest.raises(ValueError, match="cutoff_hz"):
+            smooth_profile(np.zeros(0), FS, cutoff_hz=-1.0)
+
+    def test_bad_fs_rejected_on_empty_input(self):
+        with pytest.raises(ValueError, match="fs"):
+            smooth_profile(np.zeros(0), -1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (0, 3), ()])
+    def test_non_1d_input_rejected(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            smooth_profile(np.zeros(shape), FS)
+
 
 class TestMvcGripProtocol:
     def test_exact_sample_count(self):
