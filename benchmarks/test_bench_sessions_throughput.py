@@ -5,17 +5,14 @@ advancing N concurrent wearers per ``push_many`` must beat N scalar
 ``StreamingEncoder``/``StreamingDecoder`` loops by
 ``SESSIONS_SPEEDUP_MIN`` (default 3x) at 256 sessions, with envelopes
 bit-identical.  The speedup gate needs a real core to race on and skips
-on single-core boxes; the CLI smoke legs below run everywhere — on the
-default numpy tier and with the compiled tier requested (which falls
-back gracefully without numba) — with a relaxed 1.2x floor so CI still
-exercises the full bench path, the bit-identity assertion inside it, and
-the ``BENCH_sessions.json`` telemetry record.
+on single-core boxes; the CLI smoke below runs everywhere with a relaxed
+1.2x floor so CI still exercises the full bench path, the bit-identity
+assertion inside it, and the ``BENCH_sessions.json`` telemetry record.
 """
 
 import json
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +20,10 @@ import pytest
 from repro import cli
 from repro.core.config import DATCConfig
 from repro.core.encoders import DATCEncoder
-from repro.kernels import dispatch
 from repro.runtime.sessions import SessionBatch, SessionSpec
 from repro.rx.decoders import StreamingDecoder
 from repro.signals.dataset import DatasetSpec
 
-NUMBA = dispatch.numba_available()
 # Wall-clock ratios on a single-core box measure scheduler noise, not
 # the batching win; the speedup gate needs a real core to race on.
 MULTICORE = (os.cpu_count() or 1) > 1
@@ -49,14 +44,6 @@ SMOKE_ARGS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def clean_dispatch(monkeypatch):
-    monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
-    dispatch._reset_for_tests()
-    yield
-    dispatch._reset_for_tests()
-
-
 def _smoke_record(tmp_path):
     """The BENCH_sessions.json written by the smoke run (conftest routes
     REPRO_BENCH_DIR into the test's tmp dir)."""
@@ -67,16 +54,10 @@ def _smoke_record(tmp_path):
         return json.load(f)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "compiled"])
-def test_cli_sessions_smoke(backend, monkeypatch, tmp_path, capsys):
-    """`bench --sessions` passes a relaxed floor on every backend leg."""
+def test_cli_sessions_smoke(monkeypatch, tmp_path, capsys):
+    """`bench --sessions` passes a relaxed floor."""
     monkeypatch.setenv("SESSIONS_SPEEDUP_MIN", "1.2")
-    if backend == "compiled":
-        monkeypatch.setenv(dispatch.ENV_VAR, "compiled")
-    dispatch._reset_for_tests()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", dispatch.KernelFallbackWarning)
-        rc = cli.main(SMOKE_ARGS)
+    rc = cli.main(SMOKE_ARGS)
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "bit-identical to scalar streaming: yes" in out

@@ -1,12 +1,11 @@
 """Packaging for the D-ATC (DATE 2015) reproduction toolkit.
 
-The default install needs numpy and scipy (scipy only for the UWB
-pulse-shape and energy-detector models, imported on first use).  The
-``compiled`` extra pulls in numba for the opt-in jitted kernel tier
-(``repro.kernels``, see docs/KERNELS.md)::
+The install needs numpy and scipy (scipy only for the UWB pulse-shape
+and energy-detector models, imported on first use).  The ``dev`` extra
+adds the test tooling::
 
-    pip install -e .             # numpy + scipy reference paths
-    pip install -e .[compiled]   # + numba-jitted kernels
+    pip install -e .          # numpy + scipy
+    pip install -e .[dev]     # + pytest, hypothesis, pytest-benchmark
 """
 from setuptools import find_packages, setup
 
@@ -22,9 +21,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
     extras_require={
-        # The compiled kernel tier degrades gracefully when absent:
-        # dispatch warns once and serves the numpy reference kernels.
-        "compiled": ["numba>=0.57"],
         "dev": ["pytest", "hypothesis", "pytest-benchmark"],
     },
     entry_points={"console_scripts": ["repro=repro.cli:main"]},

@@ -21,10 +21,9 @@ grids with ``replace_at``, and attach a ``ResultStore`` to memoise
 repeated sweeps on disk.  ``run_atc``/``run_datc`` remain as one-line
 conveniences over the same path.
 
-Execution is pure numpy by default; ``use_backend("compiled")`` (or
-``REPRO_KERNEL_BACKEND=compiled``) opts into the numba-jitted kernel
-tier for the residual hot loops, falling back to numpy with a single
-``KernelFallbackWarning`` when numba is absent.  See docs/KERNELS.md.
+Execution is pure numpy: each hot loop (the batched and multi-session
+D-ATC frame scans, batched scoring) has one vectorised implementation,
+held bit-identical to the scalar paths by the test suite.
 """
 
 from .core import (
@@ -48,13 +47,6 @@ from .core import (
     run_atc,
     run_batch,
     run_datc,
-)
-from .kernels import (
-    KernelFallbackWarning,
-    active_backend,
-    available_backends,
-    numba_available,
-    use_backend,
 )
 from .runtime import (
     AsyncStreamingPipeline,
@@ -112,11 +104,6 @@ __all__ = [
     "run_atc",
     "run_batch",
     "run_datc",
-    "KernelFallbackWarning",
-    "active_backend",
-    "available_backends",
-    "numba_available",
-    "use_backend",
     "AsyncStreamingPipeline",
     "ExperimentQueue",
     "FaultPlan",

@@ -1,13 +1,12 @@
 """Perf-trajectory telemetry: machine-readable benchmark records.
 
 Every ``repro bench`` subcommand appends one JSON record to
-``BENCH_<area>.json`` (areas: encoder, rx, link, sweep, cache, kernels,
-sessions)
-so the speedups the CI gates assert stop evaporating between PRs — the
-committed files *are* the performance trajectory.  ``repro bench
---report`` renders the trajectory and fails on a >20 % regression of an
-area's headline metric against its previous committed point
-(``BENCH_REGRESSION_PCT`` overrides the threshold).
+``BENCH_<area>.json`` (areas: encoder, rx, link, sweep, cache,
+sessions, queue, serve) so the speedups the CI gates assert stop
+evaporating between PRs — the committed files *are* the performance
+trajectory.  ``repro bench --report`` renders the trajectory and fails
+on a >20 % regression of an area's headline metric against its previous
+committed point (``BENCH_REGRESSION_PCT`` overrides the threshold).
 
 Record layout (one list per file, append-only)::
 
@@ -41,7 +40,6 @@ import platform
 import subprocess
 import tempfile
 import time
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,7 +64,6 @@ AREAS = (
     "link",
     "sweep",
     "cache",
-    "kernels",
     "sessions",
     "queue",
     "serve",
@@ -106,35 +103,13 @@ def record_path(area: str, directory: "str | Path | None" = None) -> Path:
 
 
 def host_info() -> dict:
-    """The execution environment a record was taken on.
-
-    Includes the kernel backend that would actually dispatch
-    (``kernel_backend``) and the numba version (``numba``, null when not
-    installed) so trajectory points taken on different tiers stay
-    attributable — a compiled-tier speedup point is not comparable to a
-    numpy one without this.
-    """
-    from ..kernels import dispatch
-
-    with warnings.catch_warnings():
-        # Recording telemetry must not surface the one-time compiled-tier
-        # fallback warning on numba-less hosts.
-        warnings.simplefilter("ignore", dispatch.KernelFallbackWarning)
-        backend = dispatch.active_backend()
-    if dispatch.numba_available():
-        import numba
-
-        numba_version = numba.__version__
-    else:
-        numba_version = None
+    """The execution environment a record was taken on."""
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "kernel_backend": backend,
-        "numba": numba_version,
     }
 
 

@@ -309,8 +309,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _bench_sweep(args)
     if args.cache:
         return _bench_cache(args)
-    if args.kernels:
-        return _bench_kernels(args)
     if args.sessions:
         return _bench_sessions(args)
     if args.queue:
@@ -838,148 +836,15 @@ def _bench_link(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_kernels(args: argparse.Namespace) -> int:
-    """Kernel tier: numpy vs compiled D-ATC frame scan + fused scoring."""
-    import warnings
-
-    from .core.config import DATCConfig
-    from .core.encoders import encode_batch
-    from .kernels import dispatch
-    from .kernels.correlation import TOLERANCE_PCT
-    from .rx.correlation import aligned_correlation_percent_batch
-    from .rx.decoders import reconstruct_batch
-    from .signals.dataset import DatasetSpec
-
-    dataset = DatasetSpec(
-        n_patterns=args.signals, duration_s=args.duration, seed=2015
-    )
-    patterns = [dataset.pattern(i) for i in range(args.signals)]
-    fs = patterns[0].fs
-    signals = np.stack([p.emg for p in patterns])
-    references = np.stack([p.ground_truth_envelope() for p in patterns])
-    config = DATCConfig()
-
-    compiled_real = dispatch.numba_available()
-    notes = (
-        None
-        if compiled_real
-        else "numba unavailable: compiled tier fell back to numpy"
-    )
-    print(
-        f"kernel tier: {args.signals} signals x {args.duration:g} s "
-        f"@ {fs:g} Hz, datc, best of {args.repeats}; "
-        f"compiled backend {'jitted' if compiled_real else 'FALLBACK (numpy)'}"
-    )
-
-    def encode_with(backend: str):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", dispatch.KernelFallbackWarning)
-            with dispatch.use_backend(backend):
-                return encode_batch(signals, fs, config)
-
-    def score_with(backend: str, recons: np.ndarray) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", dispatch.KernelFallbackWarning)
-            with dispatch.use_backend(backend):
-                return aligned_correlation_percent_batch(recons, references)
-
-    if compiled_real:
-        encode_with("compiled")  # warm the JIT outside the timed region
-
-    record_rows: "list[dict]" = []
-    header = f"{'path':<26}{'time (ms)':>11}{'samples/s':>14}{'speedup':>9}"
-    print(f"\n[datc encode]\n{header}\n" + "-" * len(header))
-    t_np, out_np = _best_of(lambda: encode_with("numpy"), args.repeats)
-    t_cc, out_cc = _best_of(lambda: encode_with("compiled"), args.repeats)
-    for (s_np, tr_np), (s_cc, tr_cc) in zip(out_np, out_cc):
-        same = (
-            np.array_equal(s_np.times, s_cc.times)
-            and np.array_equal(s_np.levels, s_cc.levels)
-            and np.array_equal(tr_np.d_in, tr_cc.d_in)
-            and np.array_equal(tr_np.vth, tr_cc.vth)
-            and np.array_equal(tr_np.frame_avr, tr_cc.frame_avr)
-        )
-        if not same:
-            raise AssertionError(
-                "compiled D-ATC encode diverged from numpy (must be bit-exact)"
-            )
-    headline = t_np / t_cc
-    for name, t in (("numpy", t_np), ("compiled", t_cc)):
-        speedup = t_np / t
-        record_rows.append(
-            {
-                "name": f"datc-encode:{name}",
-                "time_ms": t * 1e3,
-                "throughput": signals.size / t,
-                "speedup": speedup,
-            }
-        )
-        print(
-            f"{name:<26}{t * 1e3:>11.1f}{signals.size / t:>14.3g}"
-            f"{speedup:>8.1f}x"
-        )
-    print("compiled encode bit-identical to numpy: yes")
-
-    streams = [s for s, _ in out_np]
-    recons = reconstruct_batch(streams, "datc", config)
-    print(f"\n[fused scoring]\n{header}\n" + "-" * len(header))
-    t_np, corr_np = _best_of(lambda: score_with("numpy", recons), args.repeats)
-    t_cc, corr_cc = _best_of(
-        lambda: score_with("compiled", recons), args.repeats
-    )
-    max_diff = float(np.max(np.abs(corr_np - corr_cc))) if corr_np.size else 0.0
-    if max_diff > TOLERANCE_PCT:
-        raise AssertionError(
-            f"fused scoring drifted {max_diff:g} pct-points from numpy "
-            f"(documented tolerance {TOLERANCE_PCT:g})"
-        )
-    for name, t in (("numpy", t_np), ("fused compiled", t_cc)):
-        speedup = t_np / t
-        record_rows.append(
-            {
-                "name": f"scoring:{name}",
-                "time_ms": t * 1e3,
-                "throughput": args.signals / t,
-                "speedup": speedup,
-            }
-        )
-        print(
-            f"{name:<26}{t * 1e3:>11.1f}{args.signals / t:>14.3g}"
-            f"{speedup:>8.1f}x"
-        )
-    print(
-        f"fused scoring max |diff|: {max_diff:.3g} pct-points "
-        f"(tolerance {TOLERANCE_PCT:g})"
-    )
-    if notes:
-        print(f"note: {notes}")
-    _record_bench(
-        args,
-        "kernels",
-        "compiled-vs-numpy datc encode speedup",
-        headline,
-        record_rows,
-        params={
-            "signals": args.signals,
-            "duration_s": args.duration,
-            "repeats": args.repeats,
-            "numba": compiled_real,
-        },
-        spec_keys=_spec_keys(("datc",)),
-        notes=notes,
-    )
-    return 0
-
-
 def _push_percentiles(
     push_s, warmup: int = 1
 ) -> "tuple[float, float, float | None]":
     """Per-push latency percentiles in ms, warmup pushes excluded.
 
     The first push of a run pays one-off costs — allocator growth, lazy
-    imports, branch-predictor and cache warmup (and JIT compilation on
-    the compiled tier) — that say nothing about steady-state latency and
-    used to swing recorded p99 by an order of magnitude between runs.
+    imports, branch-predictor and cache warmup — that say nothing about
+    steady-state latency and used to swing recorded p99 by an order of
+    magnitude between runs.
     Returns ``(p50_ms, p99_ms, warmup_ms)`` where ``warmup_ms`` is the
     slowest excluded push (reported separately, not hidden); when there
     are too few pushes to exclude any, all of them count and
@@ -2401,11 +2266,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         action="store_true",
         help="benchmark a cold vs warm dataset sweep through the result store",
-    )
-    stage.add_argument(
-        "--kernels",
-        action="store_true",
-        help="race the numpy vs compiled kernel tier (datc encode + scoring)",
     )
     stage.add_argument(
         "--sessions",

@@ -37,11 +37,13 @@ Batching
 :func:`encode_batch` encodes an ``(n_signals, n_samples)`` array in one
 call: ATC is fully vectorised (one comparison over the whole matrix);
 D-ATC is frame-vectorised **across the signal axis** — one
-:class:`~repro.core.predictor.ThresholdPredictor` per row, with each
-frame's comparison and ones count computed for all rows in single numpy
-ops.  Per-row results are bit-identical to the per-signal loop.  The
-batched paths model ideal comparison only (non-ideal comparators and DACs
-stay on the 1-D paths).
+:class:`~repro.core.predictor.BatchPredictor` carries every row's
+history (the same step :class:`~repro.runtime.sessions.SessionBatch`
+uses), with each frame's comparison and ones count computed for all rows
+in single numpy ops.  Per-row results are bit-identical to the
+per-signal loop and to the per-sample reference scan the test suite
+keeps as an oracle.  The batched paths model ideal comparison only
+(non-ideal comparators and DACs stay on the 1-D paths).
 """
 
 from __future__ import annotations
@@ -51,12 +53,11 @@ import numpy as np
 from ..analog.comparator import Comparator
 from ..analog.dac import DAC
 from ..digital.synchronizer import clock_sample_indices, n_whole_clocks
-from ..kernels.dispatch import get_kernel, register_kernel
 from .atc import ATCTrace, rising_edges, rising_edges_2d
 from .config import ATCConfig, DATCConfig
 from .datc import DATCTrace
 from .events import EventStream
-from .predictor import ThresholdPredictor
+from .predictor import BatchPredictor, ThresholdPredictor
 
 __all__ = [
     "StreamingEncoder",
@@ -489,44 +490,6 @@ class DATCEncoder(StreamingEncoder):
 # ----------------------------------------------------------------------
 # Batched 2-D paths
 # ----------------------------------------------------------------------
-class _BatchPredictor:
-    """Row-vectorised :class:`ThresholdPredictor`: one history per row.
-
-    Each row's arithmetic is bit-identical to a scalar predictor —
-    identical IEEE ops for the float flavour, identical integer shift for
-    the quantized (RTL) flavour, and the Listing 1 priority encoder
-    becomes a ``searchsorted`` on the shared ascending interval ladder.
-    """
-
-    def __init__(self, config: DATCConfig, n_rows: int) -> None:
-        self._ladder = np.asarray(ThresholdPredictor(config).interval_ladder)
-        self._min_level = config.min_level
-        self._weights = config.weights
-        self._divisor = config.weight_divisor
-        self._fixed = config.fixed_weights() if config.quantized else None
-        self._n_one1 = np.zeros(n_rows, dtype=np.int64)
-        self._n_one2 = np.zeros(n_rows, dtype=np.int64)
-        self.level = np.full(n_rows, config.initial_level, dtype=np.int64)
-
-    def average(self, n_one3: np.ndarray) -> np.ndarray:
-        """Eqn. (1) weighted average per row (float64)."""
-        if self._fixed is not None:
-            f = self._fixed
-            acc = f.w3 * n_one3 + f.w2 * self._n_one2 + f.w1 * self._n_one1
-            return (acc >> f.shift).astype(float)
-        w1, w2, w3 = self._weights
-        return (w3 * n_one3 + w2 * self._n_one2 + w1 * self._n_one1) / self._divisor
-
-    def update(self, n_one3: np.ndarray) -> np.ndarray:
-        """End-of-frame step for every row; returns the pre-update AVRs."""
-        avr = self.average(n_one3)
-        idx = np.searchsorted(self._ladder, avr, side="right") - 1
-        self.level = np.maximum(idx, self._min_level).astype(np.int64)
-        self._n_one1 = self._n_one2
-        self._n_one2 = n_one3.astype(np.int64)
-        return avr
-
-
 def _as_batch(signals) -> np.ndarray:
     """Coerce a 2-D array or a list of equal-length 1-D arrays to (n, m)."""
     if isinstance(signals, np.ndarray):
@@ -604,21 +567,16 @@ def atc_encode_batch(
     return out
 
 
-@register_kernel("datc_frames", "numpy")
-def _datc_frames_numpy(x_clk: np.ndarray, config: DATCConfig):
+def _datc_frames(x_clk: np.ndarray, config: DATCConfig):
     """The frame-vectorised D-ATC scan: the ``datc_encode_batch`` hot loop.
 
     One Python iteration per frame, each a handful of whole-batch numpy
-    ops driving a :class:`_BatchPredictor`.  This is the numpy flavour of
-    the ``"datc_frames"`` kernel; the compiled tier
-    (:mod:`repro.kernels.datc`) fuses the same sequence into a single
-    jitted pass and is gated by exact equality against this function.
+    ops driving a :class:`~repro.core.predictor.BatchPredictor`.
     Returns ``(d_in, levels, vth, frame_levels, frame_ones, frame_avr)``.
     """
     n_signals, n_clocks = x_clk.shape
-    predictor = _BatchPredictor(config, n_signals)
+    predictor = BatchPredictor(config, n_signals)
     frame_size = config.frame_size
-    lsb_inv = float(1 << config.dac_bits)
     d_in = np.empty((n_signals, n_clocks), dtype=np.uint8)
     levels = np.empty((n_signals, n_clocks), dtype=np.int64)
     vth_per_clock = np.empty((n_signals, n_clocks), dtype=float)
@@ -630,13 +588,10 @@ def _datc_frames_numpy(x_clk: np.ndarray, config: DATCConfig):
     for f in range(n_frames_total):
         k0 = f * frame_size
         k1 = min(k0 + frame_size, n_clocks)
-        lv = predictor.level
-        # Vectorised Eqn. (3): same (vref * level) / 2**Nb op order as the
-        # scalar path, so the voltages are bit-identical per row.
-        vth = config.vref * lv.astype(float) / lsb_inv
+        vth = predictor.vth()
         bits = x_clk[:, k0:k1] > vth[:, None]
         d_in[:, k0:k1] = bits
-        levels[:, k0:k1] = lv[:, None]
+        levels[:, k0:k1] = predictor.level[:, None]
         vth_per_clock[:, k0:k1] = vth[:, None]
 
         if k1 - k0 == frame_size:  # only completed frames update the DTCs
@@ -677,11 +632,6 @@ def datc_encode_batch(
     ``n_frames`` times instead of ``n_signals * n_frames`` — the hot path
     of dataset sweeps and multi-channel encoding.  Per-row results are
     bit-identical to ``datc_encode``.
-
-    The frame scan dispatches through the kernel registry
-    (:mod:`repro.kernels`): under ``use_backend("compiled")`` the whole
-    per-frame sequence runs as one numba-jitted pass with identical
-    (bit-exact) results.
     """
     config = config if config is not None else DATCConfig()
     x = _as_batch(signals)
@@ -702,7 +652,7 @@ def datc_encode_batch(
         frame_levels_m,
         frame_ones_m,
         frame_avr_m,
-    ) = get_kernel("datc_frames")(x_clk, config)
+    ) = _datc_frames(x_clk, config)
     edge_mask = rising_edges_2d(d_in)
 
     out = []

@@ -22,18 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.executors import map_jobs
 from ..rx.correlation import aligned_correlation_percent
 from ..rx.reconstruction import reconstruct_hybrid, reconstruct_rate
 from ..signals.dataset import Pattern
-from .atc import ATCTrace, atc_encode
+from .atc import ATCTrace
 from .config import ATCConfig, DATCConfig
-from .datc import DATCTrace, datc_encode
+from .datc import DATCTrace
 from .events import EventStream
 
 __all__ = [
     "PipelineResult",
-    "map_jobs",
     "run_atc",
     "run_datc",
     "run_batch",
@@ -149,22 +147,6 @@ def run_datc(
         "datc", config, fs_out=fs_out, window_s=window_s
     )
     return Experiment(spec).run_one(pattern)
-
-
-def _evaluate_pattern(
-    pattern: Pattern,
-    scheme: str,
-    config: "ATCConfig | DATCConfig",
-    fs_out: float,
-    window_s: float,
-    dac_bits: "int | None" = None,
-) -> PipelineResult:
-    """One pattern end to end (module-level so process workers can run it)."""
-    encode = atc_encode if scheme == "atc" else datc_encode
-    stream, trace = encode(pattern.emg, pattern.fs, config)
-    return _receive_and_score(
-        scheme, stream, trace, pattern, config, fs_out, window_s, dac_bits
-    )
 
 
 def _pattern_envelope(pattern: Pattern, window_s: float) -> np.ndarray:

@@ -9,7 +9,9 @@ the behavioural encoder.  Two arithmetic flavours:
   (identical to :class:`repro.digital.dtc_rtl.DTCRtl`).
 
 The history update ``N_one1 <- N_one2 <- N_one3`` happens inside
-:meth:`ThresholdPredictor.update`.
+:meth:`ThresholdPredictor.update`.  :class:`BatchPredictor` is the same
+step vectorised across rows, shared by the batched encoder and the
+multi-session runtime.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..digital.fixed_point import FixedWeights
 from .config import DATCConfig
 from .intervals import interval_levels_float, select_level
 
-__all__ = ["ThresholdPredictor"]
+__all__ = ["ThresholdPredictor", "BatchPredictor"]
 
 
 class ThresholdPredictor:
@@ -125,3 +127,69 @@ class ThresholdPredictor:
         n = duty * self.config.frame_size
         levels = np.asarray(self._levels, dtype=float)
         return select_level(float(n), levels, self.config.min_level)
+
+
+class BatchPredictor:
+    """Row-vectorised :class:`ThresholdPredictor`: one history per row.
+
+    Each row's arithmetic is bit-identical to a scalar predictor —
+    identical IEEE ops for the float flavour, identical integer shift for
+    the quantized (RTL) flavour, and the Listing 1 priority encoder
+    becomes a ``searchsorted`` on the shared ascending interval ladder.
+
+    ``registers`` — ``(n_one1, n_one2, level)`` int64 arrays — resumes
+    carried per-row state; by default every row starts from reset.
+    """
+
+    def __init__(
+        self,
+        config: DATCConfig,
+        n_rows: int,
+        registers: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
+    ) -> None:
+        self._ladder = np.asarray(ThresholdPredictor(config).interval_ladder)
+        self._min_level = config.min_level
+        self._weights = config.weights
+        self._divisor = config.weight_divisor
+        self._fixed = config.fixed_weights() if config.quantized else None
+        self._vref = config.vref
+        self._n_codes = float(1 << config.dac_bits)
+        if registers is None:
+            self.n_one1 = np.zeros(n_rows, dtype=np.int64)
+            self.n_one2 = np.zeros(n_rows, dtype=np.int64)
+            self.level = np.full(n_rows, config.initial_level, dtype=np.int64)
+        else:
+            self.n_one1, self.n_one2, self.level = registers
+
+    def vth(self) -> np.ndarray:
+        """Eqn. (3) per row, in the scalar ``(vref * level) / 2**Nb`` op order."""
+        return self._vref * self.level.astype(float) / self._n_codes
+
+    def average(self, n_one3: np.ndarray) -> np.ndarray:
+        """Eqn. (1) weighted average per row (float64)."""
+        if self._fixed is not None:
+            f = self._fixed
+            acc = f.w3 * n_one3 + f.w2 * self.n_one2 + f.w1 * self.n_one1
+            return (acc >> f.shift).astype(float)
+        w1, w2, w3 = self._weights
+        return (w3 * n_one3 + w2 * self.n_one2 + w1 * self.n_one1) / self._divisor
+
+    def update(
+        self, n_one3: np.ndarray, live: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """End-of-frame step; returns the pre-update AVRs.
+
+        ``live`` (a boolean row mask) restricts the step to rows that
+        completed a frame; the other rows keep their registers.
+        """
+        avr = self.average(n_one3)
+        idx = np.searchsorted(self._ladder, avr, side="right") - 1
+        level = np.maximum(idx, self._min_level).astype(np.int64)
+        n_one3 = n_one3.astype(np.int64)
+        if live is None:
+            self.level, self.n_one1, self.n_one2 = level, self.n_one2, n_one3
+        else:
+            self.level = np.where(live, level, self.level)
+            self.n_one1 = np.where(live, self.n_one2, self.n_one1)
+            self.n_one2 = np.where(live, n_one3, self.n_one2)
+        return avr

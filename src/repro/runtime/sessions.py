@@ -12,9 +12,8 @@ encoder state (dense tail, frame buffer, predictor registers, comparator
 flop) and decoder state (O(n_bins) bin-count accumulators) lives in
 packed struct-of-arrays, and one :meth:`SessionBatch.push_many` call
 advances all pushed sessions together through whole-batch numpy ops plus
-the ``"session_frames"`` kernel (numpy flavour below; numba tier in
-:mod:`repro.kernels.sessions`, dispatched through the
-:mod:`repro.kernels` registry).
+the frame scan :func:`_session_frames`, which steps the same
+:class:`~repro.core.predictor.BatchPredictor` as ``encode_batch``.
 
 Contract
 --------
@@ -53,8 +52,7 @@ import numpy as np
 from ..core.atc import rising_edges
 from ..core.config import ATCConfig, DATCConfig
 from ..core.events import EventStream
-from ..core.predictor import ThresholdPredictor
-from ..kernels.dispatch import get_kernel, register_kernel
+from ..core.predictor import BatchPredictor
 from ..rx.reconstruction import level_zoh
 from ..rx.windowing import grid_edges
 from ..signals.envelope import moving_average
@@ -213,10 +211,9 @@ class SessionResult:
 
 
 # ----------------------------------------------------------------------
-# The "session_frames" kernel (numpy flavour)
+# The multi-session D-ATC frame scan
 # ----------------------------------------------------------------------
-@register_kernel("session_frames", "numpy")
-def _session_frames_numpy(
+def _session_frames(
     P: np.ndarray,
     navail: np.ndarray,
     emitted: np.ndarray,
@@ -238,50 +235,30 @@ def _session_frames_numpy(
     Returns ``(ev_row, ev_clk, ev_lvl)`` int64 arrays sorted by (row,
     clock): the rising-edge events fired, with the level in force when
     each fired.  Per-row arithmetic is bit-identical to the scalar
-    ``DATCEncoder`` frame loop (same IEEE op order as
-    ``_BatchPredictor`` — this is the ``"session_frames"`` numpy
-    flavour; :mod:`repro.kernels.sessions` provides the fused compiled
-    tier, gated by exact equality).
+    ``DATCEncoder`` frame loop.
     """
-    k = P.shape[0]
     frame_size = config.frame_size
-    ladder = np.asarray(ThresholdPredictor(config).interval_ladder, dtype=float)
-    min_level = int(config.min_level)
-    vref = float(config.vref)
-    n_codes = float(1 << config.dac_bits)
-    w1, w2, w3 = config.weights
-    divisor = config.weight_divisor
-    if config.quantized:
-        fixed = config.fixed_weights()
-        fw1, fw2, fw3, shift = fixed.w1, fixed.w2, fixed.w3, fixed.shift
+    predictor = BatchPredictor(config, P.shape[0], (n_one1, n_one2, level))
     n_frames = navail // frame_size
-    max_f = int(n_frames.max()) if k else 0
+    max_f = int(n_frames.max()) if n_frames.size else 0
     rows_parts: "list[np.ndarray]" = []
     clk_parts: "list[np.ndarray]" = []
     lvl_parts: "list[np.ndarray]" = []
     for f in range(max_f):
         live = n_frames > f
-        # Eqn. (3) with the reference (vref * level) / 2**Nb op order.
-        vth = vref * level.astype(float) / n_codes
+        vth = predictor.vth()
         bits = P[:, f * frame_size : (f + 1) * frame_size] > vth[:, None]
         prev = np.concatenate([(last_bit == 1)[:, None], bits[:, :-1]], axis=1)
         edge = bits & ~prev & live[:, None]
         r_i, c_i = np.nonzero(edge)
         rows_parts.append(r_i)
         clk_parts.append(emitted[r_i] + f * frame_size + c_i)
-        lvl_parts.append(level[r_i])
-        ones = bits.sum(axis=1)
-        if config.quantized:
-            acc = fw3 * ones + fw2 * n_one2 + fw1 * n_one1
-            avr = (acc >> shift).astype(float)
-        else:
-            avr = (w3 * ones + w2 * n_one2 + w1 * n_one1) / divisor
-        sel = np.searchsorted(ladder, avr, side="right") - 1
-        new_level = np.maximum(sel, min_level).astype(np.int64)
-        level[...] = np.where(live, new_level, level)
-        n_one1[...] = np.where(live, n_one2, n_one1)
-        n_one2[...] = np.where(live, ones.astype(np.int64), n_one2)
+        lvl_parts.append(predictor.level[r_i])
+        predictor.update(bits.sum(axis=1), live)
         last_bit[...] = np.where(live, bits[:, -1].astype(np.int64), last_bit)
+    n_one1[...] = predictor.n_one1
+    n_one2[...] = predictor.n_one2
+    level[...] = predictor.level
     if not rows_parts:
         z = np.zeros(0, dtype=np.int64)
         return z, z, z
@@ -507,7 +484,7 @@ class _SubBatch:
         The whole-batch mirror of ``StreamingEncoder.push`` +
         ``StreamingDecoder.push``: clock-edge resampling, frame assembly,
         predictor updates, edge detection and bin counting all run as
-        single numpy/kernel calls over the pushed rows, with ragged
+        whole-batch numpy calls over the pushed rows, with ragged
         chunk lengths handled by padding + per-row masks.
         """
         k = len(slots)
@@ -600,7 +577,7 @@ class _SubBatch:
         return self._append_events(rows, r_i, clk, None)
 
     def _emit_datc(self, rows, x_clk, n_new, k_max) -> int:
-        """Assemble frames and scan them through the session kernel."""
+        """Assemble frames and scan them through :func:`_session_frames`."""
         k = rows.size
         frame_size = self.frame_size
         navail = self._frame_len[rows] + n_new
@@ -618,7 +595,7 @@ class _SubBatch:
         n1 = self._n_one1[rows].copy()
         n2 = self._n_one2[rows].copy()
         lv = self._level[rows].copy()
-        ev_row, ev_clk, ev_lvl = get_kernel("session_frames")(
+        ev_row, ev_clk, ev_lvl = _session_frames(
             P, navail, emitted, lb, n1, n2, lv, self.config
         )
         self._last_bit[rows] = lb

@@ -5,13 +5,15 @@ correlation coefficient (x100) between the receiver-side reconstruction and
 the ARV envelope of the original sEMG.  Correlation is scale- and
 offset-invariant, which is what makes event-rate (ATC, arbitrary units) and
 threshold-level (D-ATC, volts) reconstructions directly comparable.
+
+Each batched function is one numpy path that matches its scalar
+counterpart bit for bit; batched scoring is
+:func:`resample_rows_to_length` followed by :func:`pearson_batch`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..kernels.dispatch import get_kernel, register_kernel
 
 __all__ = [
     "pearson_r",
@@ -147,15 +149,6 @@ def aligned_correlation_percent(
     return correlation_percent(recon, reference)
 
 
-@register_kernel("aligned_correlation", "numpy")
-def _aligned_correlation_numpy(
-    reconstructions: np.ndarray, references: np.ndarray
-) -> np.ndarray:
-    """The reference scoring path: resample rows, then stacked Pearson."""
-    recons = resample_rows_to_length(reconstructions, references.shape[1])
-    return 100.0 * pearson_batch(recons, references)
-
-
 def aligned_correlation_percent_batch(
     reconstructions: np.ndarray, references: np.ndarray
 ) -> np.ndarray:
@@ -164,35 +157,14 @@ def aligned_correlation_percent_batch(
     ``reconstructions`` is ``(n_rows, m)`` (e.g. the output of
     :func:`repro.rx.decoders.reconstruct_batch`); ``references`` is the
     stacked ground-truth matrix ``(n_rows, n_ref)``.  Returns one
-    correlation %% per row, matching the scalar loop bit for bit.
-
-    Dispatches through the kernel registry (:mod:`repro.kernels`): the
-    default numpy backend is exact; ``use_backend("compiled")`` swaps in
-    the fused single-pass kernel, which matches within the documented
-    ``repro.kernels.correlation.TOLERANCE_PCT`` (1e-8 percentage points).
-    Validation happens here so both backends reject bad input alike.
+    correlation %% per row, matching the scalar loop bit for bit:
+    :func:`resample_rows_to_length` onto the reference grid, then
+    :func:`pearson_batch`, each validating its own input.
     """
     references = np.asarray(references, dtype=float)
     if references.ndim != 2:
         raise ValueError(
             f"references must be 2-D (n_rows, n_ref), got shape {references.shape}"
         )
-    recons = np.asarray(reconstructions, dtype=float)
-    # Mirrors the checks resample_rows_to_length + pearson_batch perform
-    # on the numpy path, in the same order and wording.
-    if recons.ndim != 2:
-        raise ValueError(
-            f"need a 2-D (n_rows, m) matrix, got shape {recons.shape}"
-        )
-    if recons.shape[1] == 0:
-        raise ValueError("cannot resample empty rows")
-    n_ref = references.shape[1]
-    if n_ref < 1:
-        raise ValueError(f"n_out must be >= 1, got {n_ref}")
-    if recons.shape[0] != references.shape[0]:
-        raise ValueError(
-            f"shape mismatch: {(recons.shape[0], n_ref)} vs {references.shape}"
-        )
-    if n_ref < 2:
-        raise ValueError("need at least two samples per row to correlate")
-    return get_kernel("aligned_correlation")(recons, references)
+    recons = resample_rows_to_length(reconstructions, references.shape[1])
+    return 100.0 * pearson_batch(recons, references)

@@ -212,31 +212,6 @@ class TestBenchSubcommands:
         assert "warm (store hits)" in out
         assert "2 hits / 2 misses / 2 stores" in out
 
-    def test_bench_kernels_races_the_tiers(self, capsys):
-        assert (
-            main(
-                [
-                    "bench", "--kernels", "--signals", "2",
-                    "--duration", "2", "--repeats", "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "kernel tier" in out
-        assert "[datc encode]" in out
-        assert "[fused scoring]" in out
-        assert "compiled encode bit-identical to numpy: yes" in out
-        assert "fused scoring max |diff|" in out
-        from repro.kernels import numba_available
-
-        if not numba_available():
-            assert "FALLBACK" in out
-
-    def test_bench_kernels_exclusive_with_other_stages(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--kernels", "--rx"])
-
 
 class TestBenchTelemetry:
     """Every bench stage writes a BENCH_<area>.json trajectory point."""
@@ -266,17 +241,14 @@ class TestBenchTelemetry:
 
     def test_bench_env_dir_and_append(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "env-records"))
-        argv = [
-            "bench", "--kernels", "--signals", "2", "--duration", "2",
-            "--repeats", "1",
-        ]
+        argv = ["bench", "--signals", "2", "--duration", "2", "--repeats", "1"]
         assert main(argv) == 0
         assert main(argv) == 0
         capsys.readouterr()
         import json
 
         records = json.loads(
-            (tmp_path / "env-records" / "BENCH_kernels.json").read_text()
+            (tmp_path / "env-records" / "BENCH_encoder.json").read_text()
         )
         assert len(records) == 2
 

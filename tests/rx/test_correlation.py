@@ -5,6 +5,7 @@ import pytest
 
 from repro.rx.correlation import (
     aligned_correlation_percent,
+    aligned_correlation_percent_batch,
     correlation_percent,
     pearson_r,
     resample_to_length,
@@ -84,3 +85,24 @@ class TestAlignedCorrelation:
         t_coarse = np.linspace(0, 1, 100)
         recon = np.sin(2 * np.pi * 2 * t_coarse) + 2
         assert aligned_correlation_percent(recon, ref) > 99.5
+
+
+class TestAlignedCorrelationBatch:
+    @pytest.mark.parametrize(
+        "recons, refs, match",
+        [
+            (np.zeros((2, 8)), np.zeros(16), "references must be 2-D"),
+            (np.zeros(8), np.zeros((2, 16)), "need a 2-D"),
+            (np.zeros((2, 0)), np.zeros((2, 16)), "cannot resample empty rows"),
+            (np.zeros((3, 8)), np.zeros((2, 16)), "shape mismatch"),
+            (np.zeros((2, 8)), np.zeros((2, 1)), "at least two samples"),
+            (np.zeros((2, 8)), np.zeros((2, 0)), "n_out must be >= 1"),
+        ],
+        ids=[
+            "1d-references", "1d-recons", "empty-rows", "row-mismatch",
+            "one-ref-sample", "no-ref-samples",
+        ],
+    )
+    def test_rejects_bad_input(self, recons, refs, match):
+        with pytest.raises(ValueError, match=match):
+            aligned_correlation_percent_batch(recons, refs)
