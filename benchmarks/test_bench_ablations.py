@@ -11,24 +11,25 @@
   correlation under event erasures.
 """
 
-import numpy as np
-
-from repro.analysis.sweeps import (
-    dac_resolution_sweep,
-    frame_size_sweep,
-    pulse_loss_sweep,
-    weight_sweep,
-)
+from repro.analysis import dac_resolution_config
+from repro.api import Experiment, ExperimentSpec
 from repro.core.config import DATCConfig
 from repro.hardware.report import generate_table1
 
 from conftest import print_report
 
+DATC = Experiment(ExperimentSpec())
+
 
 def test_dac_resolution_ablation(benchmark, paper_dataset):
     pattern = paper_dataset.pattern(22)
+    configs = [dac_resolution_config(b) for b in (2, 3, 4, 5, 6)]
     points = benchmark.pedantic(
-        dac_resolution_sweep, args=(pattern,), rounds=1, iterations=1
+        lambda: DATC.sweep(
+            pattern, "encoder.config", configs, parameter=lambda c: c.dac_bits
+        ),
+        rounds=1,
+        iterations=1,
     )
     lines = [f"{'bits':>5} {'corr %':>8} {'events':>8} {'symbols':>9} "
              f"{'cells':>7} {'power nW':>9}"]
@@ -54,7 +55,14 @@ def test_dac_resolution_ablation(benchmark, paper_dataset):
 
 def test_frame_size_ablation(benchmark, paper_dataset):
     pattern = paper_dataset.pattern(22)
-    points = benchmark.pedantic(frame_size_sweep, args=(pattern,), rounds=1, iterations=1)
+    configs = [DATCConfig(frame_selector=s) for s in (0, 1, 2, 3)]
+    points = benchmark.pedantic(
+        lambda: DATC.sweep(
+            pattern, "encoder.config", configs, parameter=lambda c: c.frame_size
+        ),
+        rounds=1,
+        iterations=1,
+    )
     lines = [f"{'frame':>6} {'corr %':>8} {'events':>8}"]
     lines += [
         f"{int(p.parameter):>6d} {p.correlation_pct:>8.2f} {p.n_events:>8d}"
@@ -72,16 +80,34 @@ def test_frame_size_ablation(benchmark, paper_dataset):
 
 def test_weight_ablation(benchmark, paper_dataset):
     pattern = paper_dataset.pattern(22)
-    results = benchmark.pedantic(weight_sweep, args=(pattern,), rounds=1, iterations=1)
+    weight_sets = (
+        (0.35, 0.65, 1.0),  # the paper's empirically-chosen weights
+        (1.0, 1.0, 1.0),    # uniform history
+        (0.0, 0.0, 2.0),    # last frame only (memoryless)
+        (0.1, 0.3, 1.6),    # strongly recency-weighted
+    )
+    # Normalised to the paper's divisor (2) so the interval ladder keeps
+    # its meaning.
+    configs = [
+        DATCConfig(weights=tuple(2.0 * w / sum(ws) for w in ws))
+        for ws in weight_sets
+    ]
+    points = benchmark.pedantic(
+        lambda: DATC.sweep(
+            pattern, "encoder.config", configs, parameter=lambda c: c.weights[2]
+        ),
+        rounds=1,
+        iterations=1,
+    )
     lines = [f"{'weights (W1,W2,W3)':>22} {'corr %':>8} {'events':>8}"]
     lines += [
         f"{str(w):>22} {p.correlation_pct:>8.2f} {p.n_events:>8d}"
-        for w, p in results
+        for w, p in zip(weight_sets, points)
     ]
     print_report("Ablation — predictor weights", "\n".join(lines))
 
-    best = max(p.correlation_pct for _, p in results)
-    paper_point = results[0][1]
+    best = max(p.correlation_pct for p in points)
+    paper_point = points[0]
     assert paper_point.correlation_pct > best - 3.0
 
 
@@ -89,7 +115,9 @@ def test_pulse_loss_ablation(benchmark, paper_dataset):
     pattern = paper_dataset.pattern(22)
     probs = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5)
     points = benchmark.pedantic(
-        pulse_loss_sweep, args=(pattern, probs), rounds=1, iterations=1
+        lambda: DATC.sweep(pattern, "stream.drop_prob", probs),
+        rounds=1,
+        iterations=1,
     )
     lines = [f"{'loss':>6} {'corr %':>8} {'events':>8}"]
     lines += [

@@ -14,7 +14,7 @@ Three studies beyond the paper's headline figures:
   ``simulate_link_batch`` call.
 """
 
-from repro.analysis.sweeps import link_erasure_sweep, snr_sweep
+from repro.api import Experiment, ExperimentSpec
 from repro.core.datc import datc_encode
 from repro.rx.correlation import aligned_correlation_percent
 from repro.rx.reconstruction import (
@@ -31,9 +31,11 @@ def test_snr_robustness(benchmark, paper_dataset):
     snrs = (30.0, 20.0, 10.0, 5.0, 0.0)
 
     def run():
-        return (
-            snr_sweep(pattern, snrs, scheme="datc"),
-            snr_sweep(pattern, snrs, scheme="atc"),
+        return tuple(
+            Experiment(ExperimentSpec.for_scheme(scheme)).sweep(
+                pattern, "input.snr_db", snrs
+            )
+            for scheme in ("datc", "atc")
         )
 
     datc_points, atc_points = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -57,7 +59,9 @@ def test_link_erasure_robustness(benchmark, paper_dataset):
     probs = (0.0, 0.05, 0.1, 0.2, 0.4)
 
     points = benchmark.pedantic(
-        lambda: link_erasure_sweep(stream, probs), rounds=1, iterations=1
+        lambda: Experiment(ExperimentSpec()).link_sweep(stream, probs),
+        rounds=1,
+        iterations=1,
     )
 
     lines = [f"{'erasure p':>10} {'delivery':>9} {'level err':>10} {'pulses':>9}"]

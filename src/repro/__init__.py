@@ -18,8 +18,10 @@ Quick start::
 Every experiment is one declarative, hashable ``ExperimentSpec`` (see
 docs/API.md): serialise it with ``to_dict``/``to_json``, derive sweep
 grids with ``replace_at``, and attach a ``ResultStore`` to memoise
-repeated sweeps on disk.  ``run_atc``/``run_datc`` remain as one-line
-conveniences over the same path.
+repeated sweeps on disk.  ``Experiment`` runs it: ``run`` for many
+patterns, ``sweep`` / ``dataset_sweep`` / ``link_sweep`` for every
+parameter study.  ``run_atc``/``run_datc`` are one-line conveniences
+over the same path.
 
 Execution is pure numpy: each hot loop (the batched and multi-session
 D-ATC frame scans, batched scoring) has one vectorised implementation,
@@ -45,7 +47,6 @@ from .core import (
     encode_batch,
     merge_streams,
     run_atc,
-    run_batch,
     run_datc,
 )
 from .runtime import (
@@ -102,7 +103,6 @@ __all__ = [
     "encode_batch",
     "merge_streams",
     "run_atc",
-    "run_batch",
     "run_datc",
     "AsyncStreamingPipeline",
     "ExperimentQueue",

@@ -1,5 +1,11 @@
-"""Experiment drivers and parameter sweeps for the paper's evaluation."""
+"""Experiment drivers for the paper's evaluation.
 
+Parameter sweeps run through :class:`repro.api.Experiment`
+(``sweep`` / ``dataset_sweep`` / ``link_sweep``); their result types are
+re-exported here.
+"""
+
+from ..api import DatasetSweepResult, SweepPoint
 from .experiments import (
     FIG3_PATTERN_ID,
     PAPER_FIG3,
@@ -13,6 +19,7 @@ from .experiments import (
     Fig6Result,
     Fig7Result,
     SymbolComparison,
+    dac_resolution_config,
     run_fig2,
     run_fig3,
     run_fig5,
@@ -22,17 +29,6 @@ from .experiments import (
     run_table1,
 )
 from .metrics import Summary, summarize
-from .sweeps import (
-    DatasetSweepResult,
-    SweepPoint,
-    atc_threshold_sweep,
-    dac_resolution_sweep,
-    dataset_sweep,
-    frame_size_sweep,
-    pulse_loss_sweep,
-    snr_sweep,
-    weight_sweep,
-)
 
 __all__ = [
     "FIG3_PATTERN_ID",
@@ -47,6 +43,7 @@ __all__ = [
     "Fig6Result",
     "Fig7Result",
     "SymbolComparison",
+    "dac_resolution_config",
     "run_fig2",
     "run_fig3",
     "run_fig5",
@@ -58,11 +55,4 @@ __all__ = [
     "summarize",
     "DatasetSweepResult",
     "SweepPoint",
-    "atc_threshold_sweep",
-    "dac_resolution_sweep",
-    "dataset_sweep",
-    "frame_size_sweep",
-    "pulse_loss_sweep",
-    "snr_sweep",
-    "weight_sweep",
 ]

@@ -23,9 +23,9 @@ from ..api import (
 from ..core.config import ATCConfig, DATCConfig
 from ..core.datc import datc_encode
 from ..core.pipeline import PipelineResult, run_atc, run_datc
-from ..hardware.report import PAPER_TABLE1, TableOne, generate_table1
+from ..hardware.report import TableOne, generate_table1
 from ..runtime.store import ResultStore
-from ..signals.dataset import DatasetSpec, Pattern, default_dataset
+from ..signals.dataset import DatasetSpec, default_dataset
 from ..signals.emg import EMGModel, synthesize_emg
 from ..signals.force import concatenate_profiles, constant_profile
 from ..uwb.packets import payload_symbol_count
@@ -43,6 +43,7 @@ __all__ = [
     "Fig6Result",
     "Fig7Result",
     "SymbolComparison",
+    "dac_resolution_config",
     "run_fig2",
     "run_fig3",
     "run_fig5",
@@ -51,6 +52,23 @@ __all__ = [
     "run_symbol_comparison",
     "run_table1",
 ]
+
+def dac_resolution_config(bits: int) -> DATCConfig:
+    """The D-ATC operating point of one DAC-resolution sweep point.
+
+    The interval ladder keeps the same top fraction (0.48 of the frame) at
+    every resolution, so only the quantisation granularity changes; the
+    symbol cost per event is ``1 + bits``.
+    """
+    n_levels = 1 << int(bits)
+    return DATCConfig(
+        dac_bits=int(bits),
+        n_levels=n_levels,
+        interval_step=0.48 / n_levels,
+        min_level=1,
+        initial_level=n_levels // 2,
+    )
+
 
 # The representative pattern playing the role of the paper's Fig. 3/6
 # recording (a mid-amplitude subject for which a 0.3 V threshold is

@@ -4,8 +4,7 @@ Everything the library evaluates — a figure, a sweep point, a dataset
 shard, a streamed session — is some composition of the same four stages:
 encode (ATC/D-ATC), optionally transport (IR-UWB link), decode
 (rate / hybrid reconstruction), and score (correlation against ground
-truth).  Historically each entry point re-plumbed those stages with its
-own positional arguments; this module replaces that zoo with a frozen,
+truth).  This module describes every such run with one frozen,
 composable **spec tree**:
 
 ``ExperimentSpec``
@@ -26,8 +25,8 @@ A spec is
   multi-node dispatcher key on;
 * **composable** — ``spec.replace(...)`` / ``spec.replace_at(path, v)``
   derive new operating points, which is how one generic
-  :meth:`Experiment.sweep` subsumes the old per-parameter sweep
-  functions.
+  :meth:`Experiment.sweep` covers every per-parameter study (threshold,
+  frame size, DAC resolution, predictor weights, noise, pulse loss).
 
 The :class:`Experiment` facade executes a spec: ``run(patterns)`` rides
 the fully batched ``encode_batch -> reconstruct_batch -> stacked
@@ -36,9 +35,8 @@ values into the spec tree (or applies one of the *data axes*,
 ``"input.snr_db"`` / ``"stream.drop_prob"``) and decodes the whole grid
 in one batched call, ``dataset_sweep`` shards a pattern grid over the
 execution runtime, and ``pipeline(fs)`` / ``stream(source, fs)`` drive
-the live :class:`~repro.runtime.ingest.AsyncStreamingPipeline`.  All
-paths are bit-identical to the legacy entry points they replace (which
-survive as deprecated wrappers over this module).
+the live :class:`~repro.runtime.ingest.AsyncStreamingPipeline`.  These
+are the library's only sweep entry points.
 
 Attach a :class:`~repro.runtime.store.ResultStore` and every sweep /
 dataset evaluation is memoised on ``(spec.key(), data fingerprint)``:
@@ -96,8 +94,8 @@ __all__ = [
 SPEC_FORMAT_VERSION = 1
 
 # Sweep axes that vary the *input data* rather than the spec tree; the
-# value is the axis's default RNG seed (kept from the legacy sweeps so the
-# deprecated wrappers stay bit-identical).
+# value is the axis's default RNG seed (fixed, so recorded results and
+# stored points stay reproducible).
 DATA_AXES = {"input.snr_db": 11, "stream.drop_prob": 7}
 
 _CONFIG_TYPES = {
@@ -313,7 +311,7 @@ class ExperimentSpec:
         window_s: float = DEFAULT_WINDOW_S,
         link: "LinkConfig | None" = None,
     ) -> "ExperimentSpec":
-        """The spec matching the legacy ``run_*(pattern, config, ...)`` calls."""
+        """The spec matching ``run_atc``/``run_datc(pattern, config, ...)``."""
         return cls(
             encoder=EncoderSpec(scheme=scheme, config=config),
             link=LinkSpec(config=link) if link is not None else None,
@@ -513,9 +511,9 @@ def _data_point_fingerprint(
     """Fingerprint of a data-axis sweep point (pattern + transform).
 
     The grid ``index`` is part of the identity: the per-point RNG seeds
-    with ``(seed, index)`` (the legacy layout the deprecated wrappers are
-    bit-identical to), so the same value at a different grid position is
-    a *different* noise realisation and must not share a cache entry.
+    with ``(seed, index)``, so the same value at a different grid
+    position is a *different* noise realisation and must not share a
+    cache entry.
     """
     return fingerprint_value(
         {
@@ -659,7 +657,7 @@ def _spec_key_worker(data: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# The batched evaluation engine (previously run_batch's body)
+# The batched evaluation engine
 # ----------------------------------------------------------------------
 def _run_patterns(
     spec: ExperimentSpec,
@@ -776,8 +774,8 @@ class Experiment:
         return _run_patterns(self.spec, patterns, jobs=jobs, backend=backend)
 
     def run_one(self, pattern: Pattern) -> PipelineResult:
-        """Evaluate one pattern end to end (the legacy ``run_atc``/``run_datc``),
-        through the spec's link when it carries one."""
+        """Evaluate one pattern end to end (what ``run_atc``/``run_datc``
+        call), through the spec's link when it carries one."""
         return _evaluate_spec_pattern(pattern, self.spec)
 
     def evaluate(self, pattern: Pattern, parameter: float = 0.0) -> SweepPoint:
@@ -835,7 +833,8 @@ class Experiment:
         ``backend``; the receiver side (reconstruction + correlation)
         runs once, batched across all points — heterogeneous decode
         configs included (per-row ``vref`` / ``dac_bits``).  ``seed``
-        feeds the data axes' RNG (each axis keeps its legacy default).
+        feeds the data axes' RNG (default: the axis's entry in
+        :data:`DATA_AXES`).
         ``parameter`` maps a value to the number its point reports
         (default: ``float(value)``).
 

@@ -1013,11 +1013,12 @@ def _bench_sessions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spawn_serve(ready_file: str, *, extra: "list[str] | None" = None, env=None):
-    """Launch one ``repro serve`` subprocess on an ephemeral loopback port.
+def _spawn_repro(args: "list[str]"):
+    """Launch ``python -m repro <args>`` as a subprocess.
 
-    Same ``PYTHONPATH`` injection as :func:`_spawn_worker` so the drain
-    checks work from a source checkout without installation.
+    The child gets this process's ``repro`` package on ``PYTHONPATH`` so
+    the benches and drain checks work from a source checkout without
+    installation; stdout and stderr are captured together as text.
     """
     import subprocess
     from pathlib import Path
@@ -1025,22 +1026,12 @@ def _spawn_serve(ready_file: str, *, extra: "list[str] | None" = None, env=None)
     import repro
 
     src = str(Path(repro.__file__).resolve().parent.parent)
-    child_env = dict(os.environ if env is None else env)
+    child_env = dict(os.environ)
     child_env["PYTHONPATH"] = (
         src + os.pathsep + child_env.get("PYTHONPATH", "")
     ).rstrip(os.pathsep)
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro",
-        "serve",
-        "--port",
-        "0",
-        "--ready-file",
-        ready_file,
-    ] + (extra or [])
     return subprocess.Popen(
-        cmd,
+        [sys.executable, "-m", "repro", *args],
         env=child_env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -1048,32 +1039,47 @@ def _spawn_serve(ready_file: str, *, extra: "list[str] | None" = None, env=None)
     )
 
 
-def _wait_serve_ready(
-    proc, ready_file: str, timeout_s: float = 60.0
-) -> "tuple[int, str, int]":
-    """Block until a ``repro serve`` child wrote its ready file.
+def _wait_ready(
+    children, what: str, *, address: bool = False
+) -> "list[tuple[int, str | None, int | None]]":
+    """Block until every ``(proc, ready_file)`` child wrote its ready file.
 
-    Returns ``(pid, host, port)`` — the file's first line is the pid,
-    the second the resolved bind address (``--port 0`` picks a free
-    port, so the parent has to learn it from here).
+    The ``--ready-file`` handshake: the first line is the child's pid;
+    servers (``serve``, ``dispatch``; pass ``address=True``) add a second
+    line with their resolved bind address (``--port 0`` picks a free
+    port, so the parent learns it here).  Returns ``(pid, host, port)``
+    per child, with ``host``/``port`` None without ``address``.  A child
+    that exits first, or a handshake slower than two minutes, raises
+    ``RuntimeError`` naming ``what``.
     """
     import time as _time
 
-    deadline = _time.monotonic() + timeout_s
+    want = 2 if address else 1
+    ready: "dict[int, tuple[int, str | None, int | None]]" = {}
+    deadline = _time.monotonic() + 120.0
     while True:
-        if proc.poll() is not None:
-            raise RuntimeError(
-                f"serve exited before becoming ready "
-                f"(code {proc.returncode}):\n{proc.stdout.read()}"
-            )
-        if os.path.exists(ready_file):
-            with open(ready_file) as fh:
-                lines = fh.read().splitlines()
-            if len(lines) >= 2:
-                host, port = lines[1].split()
-                return int(lines[0]), host, int(port)
+        for i, (proc, ready_file) in enumerate(children):
+            if i in ready:
+                continue
+            if proc.poll() is not None:
+                raise RuntimeError(
+                    f"{what} exited before becoming ready "
+                    f"(code {proc.returncode}):\n{proc.stdout.read()}"
+                )
+            if os.path.exists(ready_file):
+                with open(ready_file) as fh:
+                    lines = fh.read().splitlines()
+                if len(lines) >= want:
+                    host, port = lines[1].split() if address else (None, None)
+                    ready[i] = (
+                        int(lines[0]),
+                        host,
+                        None if port is None else int(port),
+                    )
+        if len(ready) == len(children):
+            return [ready[i] for i in range(len(children))]
         if _time.monotonic() > deadline:
-            raise RuntimeError("serve subprocess never became ready")
+            raise RuntimeError(f"{what} never became ready")
         _time.sleep(0.01)
 
 
@@ -1253,9 +1259,11 @@ def _bench_serve(args: argparse.Namespace) -> int:
     work = tempfile.mkdtemp(prefix="repro-bench-serve-")
     try:
         ready = os.path.join(work, "ready")
-        proc = _spawn_serve(ready)
+        proc = _spawn_repro(["serve", "--port", "0", "--ready-file", ready])
         try:
-            _pid, host, port = _wait_serve_ready(proc, ready)
+            [(_pid, host, port)] = _wait_ready(
+                [(proc, ready)], "serve", address=True
+            )
 
             async def drain_leg():
                 client = await StreamingClient.connect(
@@ -1323,54 +1331,6 @@ def _bench_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spawn_worker(
-    db: "str | None" = None,
-    store_root: "str | None" = None,
-    *,
-    max_idle_s: float,
-    dispatcher: "str | None" = None,
-    ready_file: "str | None" = None,
-    lease_s: "float | None" = None,
-    env: "dict | None" = None,
-    extra: "list[str] | None" = None,
-):
-    """Launch one ``repro worker`` subprocess against a shared queue.
-
-    Either ``db`` + ``store_root`` (shared-mount sqlite) or
-    ``dispatcher`` (``host:port``, no shared mount).  The child gets
-    this process's ``repro`` package on ``PYTHONPATH`` so the bench
-    works from a source checkout without installation.
-    """
-    import subprocess
-    from pathlib import Path
-
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    child_env = dict(os.environ if env is None else env)
-    child_env["PYTHONPATH"] = (
-        src + os.pathsep + child_env.get("PYTHONPATH", "")
-    ).rstrip(os.pathsep)
-    cmd = [sys.executable, "-m", "repro", "worker"]
-    if dispatcher is not None:
-        cmd += ["--dispatcher", dispatcher]
-    else:
-        cmd += ["--db", db, "--store", store_root]
-    cmd += ["--max-idle", str(max_idle_s)]
-    if ready_file is not None:
-        cmd += ["--ready-file", ready_file]
-    if lease_s is not None:
-        cmd += ["--lease", str(lease_s)]
-    cmd += extra or []
-    return subprocess.Popen(
-        cmd,
-        env=child_env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-
-
 def _queued_sweep(spec, dataset, n_workers: int, work_root: str):
     """One queued N-worker sweep; returns (seconds, sweep result, store).
 
@@ -1382,8 +1342,6 @@ def _queued_sweep(spec, dataset, n_workers: int, work_root: str):
     re-evaluations, so the collected numbers are exactly what the
     workers computed.
     """
-    import time as _time
-
     from .api import Experiment
     from .runtime.queue import ExperimentQueue
     from .runtime.store import ResultStore
@@ -1394,21 +1352,16 @@ def _queued_sweep(spec, dataset, n_workers: int, work_root: str):
         os.path.join(work_root, f"ready-{i}") for i in range(n_workers)
     ]
     workers = [
-        _spawn_worker(db, store_root, max_idle_s=120.0, ready_file=path)
+        _spawn_repro(
+            [
+                "worker", "--db", db, "--store", store_root,
+                "--max-idle", "120.0", "--ready-file", path,
+            ]
+        )
         for path in ready
     ]
     try:
-        deadline = _time.monotonic() + 120.0
-        while not all(os.path.exists(path) for path in ready):
-            for proc in workers:
-                if proc.poll() is not None:
-                    raise RuntimeError(
-                        f"worker exited before becoming ready "
-                        f"(code {proc.returncode}):\n{proc.stdout.read()}"
-                    )
-            if _time.monotonic() > deadline:
-                raise RuntimeError("workers never became ready")
-            _time.sleep(0.01)
+        _wait_ready(list(zip(workers, ready)), "worker")
         with ExperimentQueue(db) as queue:
             t0 = perf_counter()
             queue.submit_dataset(spec, dataset, workers_hint=n_workers)
@@ -1431,53 +1384,6 @@ def _queued_sweep(spec, dataset, n_workers: int, work_root: str):
     return elapsed, result, store
 
 
-def _spawn_dispatcher(db: str, store_root: str, ready_file: str):
-    """Launch a ``repro dispatch`` subprocess; returns (proc, "host:port").
-
-    Blocks on the ``--ready-file`` handshake (pid line, then the
-    resolved bind address) so the caller can hand workers a dialable
-    address immediately.
-    """
-    import subprocess
-    import time as _time
-    from pathlib import Path
-
-    import repro
-
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env.get("PYTHONPATH", "")
-    ).rstrip(os.pathsep)
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "dispatch",
-            "--db", db, "--store", store_root,
-            "--port", "0", "--ready-file", ready_file,
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    deadline = _time.monotonic() + 120.0
-    while True:
-        if proc.poll() is not None:
-            raise RuntimeError(
-                f"dispatcher exited before becoming ready "
-                f"(code {proc.returncode}):\n{proc.stdout.read()}"
-            )
-        if os.path.exists(ready_file):
-            with open(ready_file) as fh:
-                lines = fh.read().splitlines()
-            if len(lines) >= 2:
-                host, port = lines[1].split()
-                return proc, f"{host}:{port}"
-        if _time.monotonic() > deadline:
-            raise RuntimeError("dispatcher never became ready")
-        _time.sleep(0.01)
-
-
 def _queued_sweep_remote(spec, dataset, n_workers: int, work_root: str):
     """One dispatched N-worker sweep; returns (seconds, result, store).
 
@@ -1489,8 +1395,6 @@ def _queued_sweep_remote(spec, dataset, n_workers: int, work_root: str):
     exercises the full wire path; collection afterwards is one warm
     ``dataset_sweep`` over the dispatcher's (local) store root.
     """
-    import time as _time
-
     from .api import Experiment
     from .runtime.queue import ExperimentQueue
     from .runtime.store import ResultStore
@@ -1500,29 +1404,30 @@ def _queued_sweep_remote(spec, dataset, n_workers: int, work_root: str):
     store_root = os.path.join(work_root, "store")
     dispatcher, workers = None, []
     try:
-        dispatcher, address = _spawn_dispatcher(
-            db, store_root, os.path.join(work_root, "dispatch-ready")
+        dispatch_ready = os.path.join(work_root, "dispatch-ready")
+        dispatcher = _spawn_repro(
+            [
+                "dispatch", "--db", db, "--store", store_root,
+                "--port", "0", "--ready-file", dispatch_ready,
+            ]
         )
+        [(_pid, host, port)] = _wait_ready(
+            [(dispatcher, dispatch_ready)], "dispatcher", address=True
+        )
+        address = f"{host}:{port}"
         ready = [
             os.path.join(work_root, f"ready-{i}") for i in range(n_workers)
         ]
         workers = [
-            _spawn_worker(
-                dispatcher=address, max_idle_s=120.0, ready_file=path
+            _spawn_repro(
+                [
+                    "worker", "--dispatcher", address,
+                    "--max-idle", "120.0", "--ready-file", path,
+                ]
             )
             for path in ready
         ]
-        deadline = _time.monotonic() + 120.0
-        while not all(os.path.exists(path) for path in ready):
-            for proc in workers:
-                if proc.poll() is not None:
-                    raise RuntimeError(
-                        f"worker exited before becoming ready "
-                        f"(code {proc.returncode}):\n{proc.stdout.read()}"
-                    )
-            if _time.monotonic() > deadline:
-                raise RuntimeError("workers never became ready")
-            _time.sleep(0.01)
+        _wait_ready(list(zip(workers, ready)), "worker")
         with ExperimentQueue(RemoteBackend(address)) as queue:
             t0 = perf_counter()
             queue.submit_dataset(spec, dataset, workers_hint=n_workers)

@@ -18,7 +18,6 @@ from .pipeline import (
     DEFAULT_WINDOW_S,
     PipelineResult,
     run_atc,
-    run_batch,
     run_datc,
 )
 from .multichannel import MultiChannelDATC, MultiChannelResult
@@ -48,7 +47,6 @@ __all__ = [
     "PipelineResult",
     "run_atc",
     "run_datc",
-    "run_batch",
     "ThresholdPredictor",
     "MultiChannelDATC",
     "MultiChannelResult",

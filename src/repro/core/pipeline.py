@@ -6,18 +6,14 @@ way: encode the sEMG into events, reconstruct the envelope at the receiver,
 and score the reconstruction against the pattern's ground-truth ARV
 envelope (the paper's "% correlation w.r.t. raw muscle force").
 
-Since the declarative API redesign the canonical way to describe and run
-an evaluation is :mod:`repro.api` (:class:`~repro.api.ExperimentSpec` +
-:class:`~repro.api.Experiment`): the helpers here are thin views onto it.
-:func:`run_atc` / :func:`run_datc` stay as the supported single-pattern
-conveniences; :func:`run_batch` is a **deprecated** wrapper kept for
-backwards compatibility, bit-identical to
-``Experiment(spec).run(patterns)``.
+The canonical way to describe and run an evaluation is :mod:`repro.api`
+(:class:`~repro.api.ExperimentSpec` + :class:`~repro.api.Experiment`):
+:func:`run_atc` / :func:`run_datc` are the single-pattern conveniences
+over it, and many patterns run through ``Experiment(spec).run``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +30,6 @@ __all__ = [
     "PipelineResult",
     "run_atc",
     "run_datc",
-    "run_batch",
     "DEFAULT_FS_OUT",
     "DEFAULT_WINDOW_S",
 ]
@@ -152,38 +147,3 @@ def run_datc(
 def _pattern_envelope(pattern: Pattern, window_s: float) -> np.ndarray:
     """Picklable ground-truth-envelope worker for the batch fan-out."""
     return pattern.ground_truth_envelope(window_s=window_s)
-
-
-def warn_legacy(name: str, replacement: str) -> None:
-    """Emit the one DeprecationWarning every legacy wrapper owes its caller."""
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_batch(
-    patterns: "list[Pattern]",
-    scheme: str = "datc",
-    config: "ATCConfig | DATCConfig | None" = None,
-    fs_out: float = DEFAULT_FS_OUT,
-    window_s: float = DEFAULT_WINDOW_S,
-    jobs: "int | None" = None,
-    backend: "str | None" = None,
-) -> "list[PipelineResult]":
-    """Deprecated: use ``Experiment(ExperimentSpec(...)).run(patterns)``.
-
-    Thin wrapper over the spec path — bit-identical to it (the engine
-    simply moved to :mod:`repro.api`); kept so pre-redesign callers keep
-    working.
-    """
-    from ..api import Experiment, ExperimentSpec
-
-    warn_legacy(
-        "run_batch", "repro.api.Experiment(ExperimentSpec(...)).run(patterns)"
-    )
-    spec = ExperimentSpec.for_scheme(
-        scheme, config, fs_out=fs_out, window_s=window_s
-    )
-    return Experiment(spec).run(patterns, jobs=jobs, backend=backend)

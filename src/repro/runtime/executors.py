@@ -1,8 +1,9 @@
 """Pluggable execution backends for sweep and batch fan-out.
 
 Every "map this function over that grid" loop in the library — the
-analysis sweeps, :func:`repro.core.pipeline.run_batch`'s per-pattern work,
-the experiment drivers — goes through one primitive, :func:`map_jobs`.
+:class:`repro.api.Experiment` sweeps, its per-pattern fallback for ragged
+batches, the experiment drivers — goes through one primitive,
+:func:`map_jobs`.
 This module owns it and puts three interchangeable backends behind the
 same contract:
 
@@ -182,11 +183,11 @@ def map_jobs(
 ):
     """Map ``fn`` over ``items`` on the selected execution backend.
 
-    The shared fan-out primitive behind ``run_batch`` and the analysis
-    sweeps.  Results are returned in item order and are element-wise
-    identical to the serial loop on every backend; the first failing
-    item's exception propagates (see the module docstring for the
-    per-backend traceback behaviour).
+    The shared fan-out primitive behind :class:`repro.api.Experiment`'s
+    batch evaluation and sweeps.  Results are returned in item order and
+    are element-wise identical to the serial loop on every backend; the
+    first failing item's exception propagates (see the module docstring
+    for the per-backend traceback behaviour).
 
     Parameters
     ----------

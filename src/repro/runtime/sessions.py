@@ -53,8 +53,8 @@ from ..core.atc import rising_edges
 from ..core.config import ATCConfig, DATCConfig
 from ..core.events import EventStream
 from ..core.predictor import BatchPredictor
-from ..rx.reconstruction import level_zoh
-from ..rx.windowing import grid_edges
+from ..rx.reconstruction import hybrid_combine, level_zoh
+from ..rx.windowing import fold_final_bins, grid_edges, require_positive
 from ..signals.envelope import moving_average
 
 __all__ = [
@@ -106,21 +106,13 @@ class SessionSpec:
             raise ValueError(
                 f"scheme must be 'atc' or 'datc', got {self.scheme!r}"
             )
-        if self.fs <= 0:
-            raise ValueError(f"fs must be positive, got {self.fs}")
-        if self.fs_out <= 0:
-            raise ValueError(f"fs_out must be positive, got {self.fs_out}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if self.silence_timeout_s <= 0:
-            raise ValueError(
-                f"silence_timeout_s must be positive, got "
-                f"{self.silence_timeout_s}"
-            )
-        if self.decay_tau_s <= 0:
-            raise ValueError(
-                f"decay_tau_s must be positive, got {self.decay_tau_s}"
-            )
+        require_positive(
+            fs=self.fs,
+            fs_out=self.fs_out,
+            window_s=self.window_s,
+            silence_timeout_s=self.silence_timeout_s,
+            decay_tau_s=self.decay_tau_s,
+        )
         if not 0.0 <= self.rate_weight <= 1.0:
             raise ValueError(
                 f"rate_weight must be within [0, 1], got {self.rate_weight}"
@@ -733,24 +725,15 @@ class _SubBatch:
         counted = int(self._counted[slot])
         ev_len = int(self._ev_len[slot])
         if ev_len > counted:
-            if n == 0:
-                raise ValueError(
-                    "duration too short for the requested output rate"
-                )
             pend = (self._ev_clk[slot, counted:ev_len] + 1) / self.clock_hz
-            edges = self._edges[: n + 1]
-            idx = np.searchsorted(edges, pend, side="right") - 1
-            idx[pend == edges[-1]] = n - 1  # the final grid's right-closed bin
-            inside = (idx >= 0) & (idx < n)
-            if np.any(inside):
-                self._counts[slot, :n] += np.bincount(idx[inside], minlength=n)
+            fold_final_bins(self._counts[slot, :n], pend, self._edges[: n + 1])
             self._counted[slot] = ev_len
         counts = self._counts[slot, :n].astype(float)
         rate = moving_average(counts, self.window) * self.fs_out
         if self.scheme == "atc":
             return rate
-        # D-ATC hybrid: combine the level ZOH and the normalised rate
-        # exactly as StreamingDecoder.finalize / reconstruct_hybrid.
+        # D-ATC hybrid: the level ZOH and the normalised rate, combined by
+        # the same hybrid_combine as every other decoder.
         spec = self.spec
         if ev_len == 0:
             level = np.zeros(n)
@@ -763,12 +746,7 @@ class _SubBatch:
                 silence_timeout_s=spec.silence_timeout_s,
                 decay_tau_s=spec.decay_tau_s,
             )
-        peak = rate.max() if rate.size else 0.0
-        rate_norm = rate / peak if peak > 0 else rate
-        combined = level * (
-            1.0 - spec.rate_weight + spec.rate_weight * rate_norm
-        )
-        return moving_average(combined, self.window)
+        return hybrid_combine(level, rate, spec.rate_weight, self.window)
 
 
 # ----------------------------------------------------------------------

@@ -25,15 +25,18 @@ from .decoders import (
     stream_chunks,
 )
 from .reconstruction import (
+    hybrid_combine,
     level_zoh,
     reconstruct_hybrid,
     reconstruct_levels,
     reconstruct_rate,
+    silence_decay,
 )
 from .windowing import (
     binned_counts,
     event_rate,
     exponential_rate,
+    fold_final_bins,
     grid_centers,
     grid_edges,
     stream_bins,
@@ -57,13 +60,16 @@ __all__ = [
     "level_zoh_batch",
     "reconstruct_batch",
     "stream_chunks",
+    "hybrid_combine",
     "level_zoh",
     "reconstruct_hybrid",
     "reconstruct_levels",
     "reconstruct_rate",
+    "silence_decay",
     "binned_counts",
     "event_rate",
     "exponential_rate",
+    "fold_final_bins",
     "grid_centers",
     "grid_edges",
     "stream_bins",

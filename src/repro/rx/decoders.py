@@ -47,7 +47,14 @@ import numpy as np
 from ..core.config import ATCConfig, DATCConfig
 from ..core.events import EventStream
 from ..signals.envelope import moving_average
-from .windowing import grid_centers, grid_edges, stream_bins
+from .reconstruction import hybrid_combine, silence_decay
+from .windowing import (
+    fold_final_bins,
+    grid_centers,
+    grid_edges,
+    require_positive,
+    stream_bins,
+)
 
 __all__ = [
     "StreamingDecoder",
@@ -198,6 +205,9 @@ def level_zoh_batch(
     resolution) share one batched call.  Rows stay bit-identical to the
     per-stream decoder either way.
     """
+    require_positive(
+        silence_timeout_s=silence_timeout_s, decay_tau_s=decay_tau_s
+    )
     streams, n = _batch_grid(streams, fs_out)
     n_streams = len(streams)
     vref = _per_row(vref, n_streams, "vref")
@@ -230,11 +240,10 @@ def level_zoh_batch(
     valid = (idx >= 0).astype(float)
     # The min keeps an all-empty final row's (masked-out) gather in range.
     clipped = np.minimum(np.maximum(idx, 0) + offsets[:, None], times_all.size - 1)
-    out = volts_all[clipped] * valid
     gap = (t - times_all[clipped]) * valid
-    overdue = np.maximum(gap - silence_timeout_s, 0.0)
-    out *= np.exp(-overdue / decay_tau_s)
-    return out
+    return silence_decay(
+        volts_all[clipped] * valid, gap, silence_timeout_s, decay_tau_s
+    )
 
 
 def reconstruct_batch(
@@ -264,6 +273,7 @@ def reconstruct_batch(
     """
     if scheme not in ("atc", "datc"):
         raise ValueError(f"scheme must be 'atc' or 'datc', got {scheme!r}")
+    require_positive(silence_timeout_s=silence_timeout_s)
     if scheme == "atc":
         return event_rate_batch(streams, fs_out, window_s=window_s)
     if not 0.0 <= rate_weight <= 1.0:
@@ -277,13 +287,8 @@ def reconstruct_batch(
         silence_timeout_s=silence_timeout_s,
     )
     rate = event_rate_batch(streams, fs_out, window_s=window_s)
-    peak = rate.max(axis=1) if rate.shape[1] else np.zeros(rate.shape[0])
-    rate_norm = np.divide(
-        rate, peak[:, None], out=rate.copy(), where=peak[:, None] > 0
-    )
-    combined = level * (1.0 - rate_weight + rate_weight * rate_norm)
     window = max(1, int(round(window_s * fs_out)))
-    return moving_average(combined, window, axis=-1)
+    return hybrid_combine(level, rate, rate_weight, window)
 
 
 class StreamingDecoder:
@@ -337,6 +342,9 @@ class StreamingDecoder:
             raise ValueError(
                 f"rate_weight must be within [0, 1], got {rate_weight}"
             )
+        require_positive(
+            silence_timeout_s=silence_timeout_s, decay_tau_s=decay_tau_s
+        )
         self.scheme = scheme
         if config is None:
             config = DATCConfig() if scheme == "datc" else ATCConfig()
@@ -586,14 +594,7 @@ class StreamingDecoder:
             return
         pend = np.concatenate(self._pending)
         self._pending = []
-        if n == 0:
-            raise ValueError("duration too short for the requested output rate")
-        edges = self._edges[: n + 1]
-        idx = np.searchsorted(edges, pend, side="right") - 1
-        idx[pend == edges[-1]] = n - 1  # the final grid closes its last bin
-        inside = (idx >= 0) & (idx < n)
-        if np.any(inside):
-            self._counts[:n] += np.bincount(idx[inside], minlength=n)
+        fold_final_bins(self._counts[:n], pend, self._edges[: n + 1])
 
     def _full_rate(self) -> np.ndarray:
         counts = self._counts[: self._n].astype(float)
@@ -613,22 +614,20 @@ class StreamingDecoder:
                 self._parts.append(tail)
             return tail
         # D-ATC hybrid: settle the ZOH tail, then combine level and rate
-        # exactly as reconstruct_hybrid does.
+        # through the same helpers as reconstruct_hybrid.
         self._settle_zoh(self._centers, n)
         if self._n_events == 0:
             level = np.zeros(n)
         else:
-            overdue = np.maximum(
-                self._zoh_gap[:n] - self.silence_timeout_s, 0.0
+            level = silence_decay(
+                self._zoh_volt[:n],
+                self._zoh_gap[:n],
+                self.silence_timeout_s,
+                self.decay_tau_s,
             )
-            level = self._zoh_volt[:n] * np.exp(-overdue / self.decay_tau_s)
-        rate = self._full_rate()
-        peak = rate.max() if rate.size else 0.0
-        rate_norm = rate / peak if peak > 0 else rate
-        combined = level * (
-            1.0 - self.rate_weight + self.rate_weight * rate_norm
+        env = hybrid_combine(
+            level, self._full_rate(), self.rate_weight, self._window
         )
-        env = moving_average(combined, self._window)
         self._emitted = n
         if env.size:
             self._parts.append(env)

@@ -21,13 +21,15 @@ import numpy as np
 
 from ..core.events import EventStream
 from ..signals.envelope import moving_average
-from .windowing import event_rate, grid_centers, stream_bins
+from .windowing import event_rate, grid_centers, require_positive, stream_bins
 
 __all__ = [
     "reconstruct_rate",
     "reconstruct_levels",
     "reconstruct_hybrid",
     "level_zoh",
+    "silence_decay",
+    "hybrid_combine",
 ]
 
 
@@ -36,6 +38,41 @@ def reconstruct_rate(
 ) -> np.ndarray:
     """ATC decoder: smoothed event rate (arbitrary units ∝ force)."""
     return event_rate(stream, fs_out, window_s=window_s)
+
+
+def silence_decay(
+    level: np.ndarray,
+    gap: np.ndarray,
+    silence_timeout_s: float,
+    decay_tau_s: float,
+) -> np.ndarray:
+    """Decay held levels once the silence since their event is overdue.
+
+    ``level * exp(-max(gap - silence_timeout_s, 0) / decay_tau_s)``,
+    elementwise over ``(..., n_bins)``: ``gap`` is each bin's time since
+    the event whose level it holds.
+    """
+    overdue = np.maximum(gap - silence_timeout_s, 0.0)
+    return level * np.exp(-overdue / decay_tau_s)
+
+
+def hybrid_combine(
+    level: np.ndarray, rate: np.ndarray, rate_weight: float, window: int
+) -> np.ndarray:
+    """The hybrid D-ATC envelope from its level and rate parts.
+
+    Each row of ``rate`` (``(..., n_bins)``) is normalised by its own
+    peak (left as is when the peak is 0), scales the level part by
+    ``1 - rate_weight + rate_weight * rate_norm``, and the product is
+    smoothed over ``window`` bins.
+    """
+    if rate.shape[-1]:
+        peak = rate.max(axis=-1, keepdims=True)
+    else:
+        peak = np.zeros(rate.shape[:-1] + (1,))
+    rate_norm = np.divide(rate, peak, out=rate.copy(), where=peak > 0)
+    combined = level * (1.0 - rate_weight + rate_weight * rate_norm)
+    return moving_average(combined, window, axis=-1)
 
 
 def level_zoh(
@@ -54,6 +91,9 @@ def level_zoh(
     threshold, so holding it indefinitely would overestimate rest periods.
     Before the first event the estimate is 0.
     """
+    require_positive(
+        silence_timeout_s=silence_timeout_s, decay_tau_s=decay_tau_s
+    )
     t = grid_centers(stream_bins(stream, fs_out), fs_out)
     if stream.n_events == 0:
         return np.zeros(t.size)
@@ -65,9 +105,7 @@ def level_zoh(
     out[valid] = volts[idx[valid]]
     gap = np.zeros(t.size)
     gap[valid] = t[valid] - stream.times[idx[valid]]
-    overdue = np.maximum(gap - silence_timeout_s, 0.0)
-    out *= np.exp(-overdue / decay_tau_s)
-    return out
+    return silence_decay(out, gap, silence_timeout_s, decay_tau_s)
 
 
 def reconstruct_levels(
@@ -116,8 +154,5 @@ def reconstruct_hybrid(
         silence_timeout_s=silence_timeout_s,
     )
     rate = event_rate(stream, fs_out, window_s=smooth_window_s)
-    peak = rate.max() if rate.size else 0.0
-    rate_norm = rate / peak if peak > 0 else rate
-    combined = level_part * (1.0 - rate_weight + rate_weight * rate_norm)
     window = max(1, int(round(smooth_window_s * fs_out)))
-    return moving_average(combined, window)
+    return hybrid_combine(level_part, rate, rate_weight, window)

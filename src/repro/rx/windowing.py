@@ -21,13 +21,22 @@ from ..core.events import EventStream
 from ..signals.envelope import moving_average
 
 __all__ = [
+    "require_positive",
     "stream_bins",
+    "fold_final_bins",
     "grid_edges",
     "grid_centers",
     "binned_counts",
     "event_rate",
     "exponential_rate",
 ]
+
+
+def require_positive(**params: float) -> None:
+    """Raise ``ValueError`` naming the first parameter that is not > 0."""
+    for name, value in params.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def stream_bins(stream: EventStream, fs_out: float) -> int:
@@ -53,6 +62,27 @@ def grid_edges(n_bins: int, fs_out: float) -> np.ndarray:
 def grid_centers(n_bins: int, fs_out: float) -> np.ndarray:
     """Bin centres of the uniform output grid."""
     return (np.arange(n_bins) + 0.5) / fs_out
+
+
+def fold_final_bins(
+    counts: np.ndarray, times: np.ndarray, edges: np.ndarray
+) -> None:
+    """Add ``times`` to ``counts`` in place on a grid that stops growing.
+
+    ``edges`` are the grid's ``n + 1`` edges and ``counts`` its ``n``
+    bins.  Bins are left-closed except the last, which also takes an
+    event exactly on the final edge (``np.histogram``'s rule); events
+    outside the grid are dropped.  The streaming decoders fold their
+    still-pending events through here once the grid is final.
+    """
+    n = edges.size - 1
+    if n == 0:
+        raise ValueError("duration too short for the requested output rate")
+    idx = np.searchsorted(edges, times, side="right") - 1
+    idx[times == edges[-1]] = n - 1
+    inside = (idx >= 0) & (idx < n)
+    if np.any(inside):
+        counts += np.bincount(idx[inside], minlength=n)
 
 
 def binned_counts(stream: EventStream, fs_out: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sweeps import atc_threshold_sweep, dataset_sweep
+from repro.api import Experiment, ExperimentSpec
 from repro.core.atc import atc_encode
 from repro.core.config import ATCConfig, DATCConfig
 from repro.core.datc import datc_encode
@@ -38,6 +38,8 @@ ADD_SEVEN = partial(operator.add, 7)  # importable in spawned workers
 # Tiny shared corpus for the sweep-level invariants (generated once).
 _SWEEP_DATASET = DatasetSpec(n_patterns=5, duration_s=2.0, seed=2015)
 _SWEEP_PATTERN = _SWEEP_DATASET.pattern(2)
+_ATC = Experiment(ExperimentSpec.for_scheme("atc"))
+_DATC = Experiment(ExperimentSpec())
 
 
 class TestShardedExecutionMatchesSerial:
@@ -78,9 +80,13 @@ class TestShardedExecutionMatchesSerial:
         jobs=st.integers(2, 3),
     )
     def test_threshold_sweep_backend_invariant(self, vths, backend, jobs):
-        serial = atc_threshold_sweep(_SWEEP_PATTERN, vths)
-        sharded = atc_threshold_sweep(
-            _SWEEP_PATTERN, vths, jobs=jobs, backend=backend
+        serial = _ATC.sweep(_SWEEP_PATTERN, "encoder.config.vth", vths)
+        sharded = _ATC.sweep(
+            _SWEEP_PATTERN,
+            "encoder.config.vth",
+            vths,
+            jobs=jobs,
+            backend=backend,
         )
         assert sharded == serial  # frozen dataclasses: exact float equality
 
@@ -92,10 +98,9 @@ class TestShardedExecutionMatchesSerial:
         shard_size=st.one_of(st.none(), st.integers(1, 4)),
     )
     def test_dataset_sweep_shard_invariant(self, limit, backend, jobs, shard_size):
-        serial = dataset_sweep(_SWEEP_DATASET, "datc", limit=limit)
-        sharded = dataset_sweep(
+        serial = _DATC.dataset_sweep(_SWEEP_DATASET, limit=limit)
+        sharded = _DATC.dataset_sweep(
             _SWEEP_DATASET,
-            "datc",
             limit=limit,
             jobs=jobs,
             backend=backend,

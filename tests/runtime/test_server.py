@@ -524,15 +524,17 @@ class TestDrain:
 
 class TestSigtermDrain:
     def test_subprocess_sigterm_exits_zero_unfinalized_zero(self, tmp_path, rng):
-        from repro.cli import _spawn_serve, _wait_serve_ready
+        from repro.cli import _spawn_repro, _wait_ready
 
         spec = SessionSpec(scheme="datc", fs=FS)
         sig = rng.normal(0, 0.3, size=int(FS * 0.8))
         _, env_ref = scalar_reference("datc", spec.config, chunked(sig, 500))
         ready = os.fspath(tmp_path / "ready")
-        proc = _spawn_serve(ready)
+        proc = _spawn_repro(["serve", "--port", "0", "--ready-file", ready])
         try:
-            _pid, host, port = _wait_serve_ready(proc, ready)
+            [(_pid, host, port)] = _wait_ready(
+                [(proc, ready)], "serve", address=True
+            )
 
             async def drive():
                 client = await StreamingClient.connect(host, port)

@@ -5,12 +5,16 @@ import pytest
 
 from repro.core.datc import datc_encode
 from repro.core.events import EventStream
+from repro.runtime.sessions import SessionSpec
 from repro.rx.correlation import aligned_correlation_percent
+from repro.rx.decoders import StreamingDecoder, level_zoh_batch, reconstruct_batch
 from repro.rx.reconstruction import (
+    hybrid_combine,
     level_zoh,
     reconstruct_hybrid,
     reconstruct_levels,
     reconstruct_rate,
+    silence_decay,
 )
 
 
@@ -48,6 +52,31 @@ class TestLevelZoh:
             levels=np.zeros(0, dtype=np.int64), symbols_per_event=5,
         )
         assert np.all(level_zoh(s) == 0.0)
+
+
+class TestEnvelopeArithmetic:
+    def test_silence_decay_holds_then_decays(self):
+        gap = np.array([[0.0, 0.5, 1.0], [0.2, 1.5, 3.0]])
+        out = silence_decay(np.ones_like(gap), gap, 0.5, 0.5)
+        assert out[0, :2].tolist() == [1.0, 1.0]
+        assert out[0, 2] == pytest.approx(np.exp(-1.0))
+        assert out[1, 2] == pytest.approx(np.exp(-5.0))
+
+    def test_hybrid_combine_rows_match_one_dimensional(self, rng):
+        level = rng.uniform(0, 1, (3, 50))
+        rate = rng.uniform(0, 20, (3, 50))
+        rate[1] = 0.0  # a silent row keeps the level part unscaled by rate
+        batch = hybrid_combine(level, rate, 0.7, 5)
+        for r in range(3):
+            row = hybrid_combine(level[r], rate[r], 0.7, 5)
+            assert np.array_equal(batch[r], row)
+        assert np.allclose(
+            batch[1], hybrid_combine(level[1], np.zeros(50), 0.0, 5) * 0.3
+        )
+
+    def test_hybrid_combine_empty_grid(self):
+        out = hybrid_combine(np.zeros((2, 0)), np.zeros((2, 0)), 0.7, 3)
+        assert out.shape == (2, 0)
 
 
 class TestReconstructors:
@@ -94,3 +123,57 @@ class TestReconstructors:
             reconstruct_hybrid(stream.drop_events(keep)), ref
         )
         assert degraded > full - 3.0
+
+
+class TestTimeConstantValidation:
+    """Every decoder rejects non-positive time constants the way
+    ``SessionSpec`` does, instead of returning NaN or growing levels."""
+
+    @pytest.fixture
+    def stream(self):
+        return level_stream([0.3, 0.6], [6, 6], duration=2.0)
+
+    BAD = [0.0, -0.5]
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("name", ["silence_timeout_s", "decay_tau_s"])
+    def test_level_zoh(self, stream, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            level_zoh(stream, **{name: value})
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("name", ["silence_timeout_s", "decay_tau_s"])
+    def test_level_zoh_batch(self, stream, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            level_zoh_batch([stream, stream], **{name: value})
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize(
+        "decode",
+        [reconstruct_levels, reconstruct_hybrid],
+        ids=lambda f: f.__name__,
+    )
+    def test_one_shot_decoders(self, stream, decode, value):
+        with pytest.raises(ValueError, match="silence_timeout_s must be positive"):
+            decode(stream, silence_timeout_s=value)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("scheme", ["atc", "datc"])
+    def test_reconstruct_batch(self, stream, scheme, value):
+        with pytest.raises(ValueError, match="silence_timeout_s must be positive"):
+            reconstruct_batch([stream], scheme, silence_timeout_s=value)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("name", ["silence_timeout_s", "decay_tau_s"])
+    @pytest.mark.parametrize("scheme", ["atc", "datc"])
+    def test_streaming_decoder(self, scheme, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            StreamingDecoder(scheme, **{name: value})
+
+    def test_messages_match_session_spec(self):
+        for name in ("silence_timeout_s", "decay_tau_s"):
+            with pytest.raises(ValueError) as spec_error:
+                SessionSpec(**{name: 0.0})
+            with pytest.raises(ValueError) as decoder_error:
+                StreamingDecoder(**{name: 0.0})
+            assert str(decoder_error.value) == str(spec_error.value)

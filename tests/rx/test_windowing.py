@@ -8,6 +8,7 @@ from repro.rx.windowing import (
     binned_counts,
     event_rate,
     exponential_rate,
+    fold_final_bins,
     grid_centers,
     grid_edges,
     stream_bins,
@@ -36,6 +37,29 @@ class TestBinnedCounts:
         s = EventStream(times=np.array([0.001]), duration_s=0.005)
         with pytest.raises(ValueError):
             binned_counts(s, fs_out=100.0)
+
+
+class TestFoldFinalBins:
+    def test_matches_histogram(self, rng):
+        edges = grid_edges(40, fs_out=10.0)
+        times = np.concatenate([np.sort(rng.uniform(0, 4.0, 97)), [4.0]])
+        counts = np.zeros(40, dtype=np.intp)
+        fold_final_bins(counts, times, edges)
+        expected, _ = np.histogram(times, bins=edges)
+        assert np.array_equal(counts, expected)
+        assert counts[-1] >= 1  # the event on the last edge is kept
+
+    def test_adds_in_place_and_drops_outside(self):
+        counts = np.array([1, 0, 2], dtype=np.intp)
+        times = np.array([-0.1, 0.05, 0.3, 0.31])
+        fold_final_bins(counts, times, grid_edges(3, 10.0))
+        assert counts.tolist() == [2, 0, 3]
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError, match="duration too short"):
+            fold_final_bins(
+                np.zeros(0, dtype=np.intp), np.array([0.0]), grid_edges(0, 10.0)
+            )
 
 
 class TestEventRate:
