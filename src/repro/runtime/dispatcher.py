@@ -29,6 +29,13 @@ Design notes:
   corrupted upload is an error reply, not a poisoned cache entry);
   ``store_get`` re-encodes from disk with a fresh checksum the client
   verifies on arrival.
+* **Idle claims are parked, not polled.**  A ``claim`` with
+  ``wait_s > 0`` that finds no job waits on the event loop (not in a
+  pool thread, so any number of parked claims leave every other verb
+  served).  Each successful mutating verb but ``heartbeat`` wakes the
+  parked claims, which claim again; a parked claim answers with a job,
+  with ``null`` as soon as the queue is drained, or with ``null`` once
+  ``wait_s`` has passed.
 * **Errors stay typed.**  A verb that raises is answered with
   ``{"ok": false, "error": "<TypeName>", "detail": ...}`` and the
   connection stays up; the client re-raises builtin validation types
@@ -50,11 +57,17 @@ from .transport import (
     DISPATCH_PROTOCOL_VERSION,
     MAX_FRAME_BYTES,
     Job,
+    check_wait_s,
     decode_payload,
+    drained,
     encode_payload,
 )
 
 __all__ = ["DispatcherServer", "DispatcherThread"]
+
+# The verbs whose success can open a job or drain the queue: each one
+# wakes the parked claims.
+_WAKE_OPS = frozenset({"submit", "complete", "fail", "release", "reset", "reap"})
 
 
 class DispatcherServer:
@@ -73,7 +86,8 @@ class DispatcherServer:
         after :meth:`start`).
 
     Handlers run in a worker thread (``asyncio.to_thread``) so a slow
-    sqlite write never stalls the event loop's accept/read path.
+    sqlite write never stalls the event loop's accept/read path; an
+    empty waiting ``claim`` parks on the loop between attempts.
     """
 
     def __init__(
@@ -89,8 +103,9 @@ class DispatcherServer:
         self.port = int(port)
         self._server: "asyncio.base_events.Server | None" = None
         self._stopping: "asyncio.Event | None" = None
+        self._wake: "asyncio.Event | None" = None  # set + replaced per wake
         self.connections = 0  # lifetime accepted connections
-        self.requests = 0  # lifetime well-formed requests served
+        self.requests = 0  # lifetime verbs applied (each parked-claim attempt)
 
     @property
     def address(self) -> "tuple[str, int]":
@@ -102,6 +117,7 @@ class DispatcherServer:
         if self._server is not None:
             return
         self._stopping = asyncio.Event()
+        self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -114,6 +130,7 @@ class DispatcherServer:
         """Begin shutdown; ``serve_forever`` returns once drained."""
         if self._stopping is not None:
             self._stopping.set()
+            self._wake_claims()  # parked claims answer instead of waiting
 
     async def serve_forever(self) -> None:
         """Serve until :meth:`request_stop`; then close everything."""
@@ -165,7 +182,7 @@ class DispatcherServer:
                         },
                     )
                     return
-                reply = await asyncio.to_thread(self._dispatch, request)
+                reply = await self._serve(request, reader)
                 await self._reply(writer, reply)
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -182,6 +199,42 @@ class DispatcherServer:
     async def _reply(writer, reply: dict) -> None:
         writer.write(json.dumps(reply, separators=(",", ":")).encode() + b"\n")
         await writer.drain()
+
+    async def _serve(self, request: dict, reader) -> dict:
+        """Apply one verb in a pool thread; park an empty waiting claim."""
+        op = request.get("op")
+        wait_s = request.get("wait_s") if op == "claim" else None
+        if isinstance(wait_s, (int, float)) and wait_s > 0:
+            return await self._parked_claim(request, wait_s, reader)
+        reply = await asyncio.to_thread(self._dispatch, request)
+        if reply["ok"] and op in _WAKE_OPS:
+            self._wake_claims()
+        return reply
+
+    async def _parked_claim(self, request: dict, wait_s: float, reader) -> dict:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + wait_s
+        while True:
+            wake = self._wake  # taken before the attempt: no lost wakeup
+            reply = await asyncio.to_thread(self._dispatch, request)
+            if not reply["ok"] or reply["job"] is not None or reply.pop("drained"):
+                return reply
+            remaining = deadline - loop.time()
+            if remaining <= 0 or self._stopping.is_set():
+                return reply
+            try:
+                await asyncio.wait_for(wake.wait(), remaining)
+            except asyncio.TimeoutError:
+                return reply
+            if self._stopping.is_set() or reader.at_eof() or reader.exception():
+                # The backend is closing, or the client hung up: a lease
+                # taken now would idle until it expired.
+                return reply
+
+    def _wake_claims(self) -> None:
+        """Release every parked claim to claim again (event-loop thread)."""
+        self._wake.set()
+        self._wake = asyncio.Event()
 
     # ------------------------------------------------------------------
     # Verb dispatch (runs in a worker thread)
@@ -227,12 +280,20 @@ class DispatcherServer:
         return {"inserted": inserted}
 
     def _op_claim(self, request: dict) -> dict:
+        # One attempt, never a wait in this pool thread: the event loop
+        # parks a waiting claim, told by ``drained`` whether to go on.
+        wait_s = check_wait_s(request.get("wait_s") or 0.0)
         job = self.backend.claim(
             str(request["worker_id"]),
             lease_s=request.get("lease_s", 30.0),
             now=request.get("now"),
         )
-        return {"job": None if job is None else job.to_dict()}
+        if job is not None:
+            return {"job": job.to_dict()}
+        reply = {"job": None}
+        if wait_s > 0:
+            reply["drained"] = drained(self.backend.counts())
+        return reply
 
     def _op_heartbeat(self, request: dict) -> dict:
         job = Job.from_dict(request["job"])

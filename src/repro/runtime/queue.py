@@ -89,6 +89,8 @@ from .transport import (
     RemoteBackend,
     RemoteStore,
     _backoff_jitter,
+    check_wait_s,
+    drained,
 )
 
 __all__ = [
@@ -108,6 +110,9 @@ __all__ = [
 STATUSES = ("open", "leased", "done", "error")
 DEFAULT_LEASE_S = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
+# How often a waiting sqlite claim re-reads PRAGMA data_version, the
+# connection's counter of changes other connections committed.
+DATA_VERSION_POLL_S = 0.002
 
 # The dataset fields a queue job serialises; subjects are re-derived from
 # the seed on the worker, so explicit-subject datasets are rejected at
@@ -304,6 +309,7 @@ class SqliteBackend(QueueBackend):
         worker_id: str,
         lease_s: float = DEFAULT_LEASE_S,
         now: "float | None" = None,
+        wait_s: float = 0.0,
     ) -> "Job | None":
         """Atomically lease the oldest claimable open job, if any.
 
@@ -312,9 +318,38 @@ class SqliteBackend(QueueBackend):
         attempt (``attempt`` increments).  Returns ``None`` when nothing
         is claimable right now (the queue may still hold backed-off or
         leased rows — see :meth:`unfinished`).
+
+        With ``wait_s > 0`` an empty claim waits: every
+        :data:`DATA_VERSION_POLL_S` it re-reads ``PRAGMA data_version``
+        (read-only, no write lock), and when another connection has
+        committed a change it claims again.  It returns the first job it
+        leases, ``None`` as soon as the queue is drained, or ``None``
+        once ``wait_s`` has passed.  Jobs opened by time alone (a
+        retry's ``not_before``, an expiring lease) are found by the
+        caller's next claim.
         """
         if lease_s <= 0:
             raise ValueError(f"lease_s must be positive, got {lease_s}")
+        wait_s = check_wait_s(wait_s)
+        deadline = time.monotonic() + wait_s
+        while True:
+            version = self._data_version()  # before the attempt: no lost wakeup
+            job = self._claim_once(worker_id, float(lease_s), now)
+            if job is not None or wait_s == 0.0 or drained(self.counts()):
+                return job
+            while self._data_version() == version:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    return None
+                time.sleep(min(DATA_VERSION_POLL_S, remaining))
+
+    def _data_version(self) -> int:
+        with self._lock:
+            return self._conn.execute("PRAGMA data_version").fetchone()[0]
+
+    def _claim_once(
+        self, worker_id: str, lease_s: float, now: "float | None"
+    ) -> "Job | None":
         now = self._now(now)
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
@@ -337,7 +372,7 @@ class SqliteBackend(QueueBackend):
                         worker_id,
                         attempt,
                         now,
-                        float(lease_s),
+                        lease_s,
                         now,
                         row["spec_key"],
                         row["fingerprint"],
@@ -354,7 +389,7 @@ class SqliteBackend(QueueBackend):
             payload=json.loads(row["payload"]),
             attempt=attempt,
             max_attempts=row["max_attempts"],
-            lease_s=float(lease_s),
+            lease_s=lease_s,
             worker_id=worker_id,
         )
 
@@ -612,9 +647,16 @@ class ExperimentQueue:
         worker_id: str,
         lease_s: float = DEFAULT_LEASE_S,
         now: "float | None" = None,
+        wait_s: float = 0.0,
     ) -> "Job | None":
-        """Atomically lease the oldest claimable open job, if any."""
-        return self.backend.claim(worker_id, lease_s=lease_s, now=now)
+        """Atomically lease the oldest claimable open job, if any.
+
+        With ``wait_s > 0`` an empty claim waits up to ``wait_s`` seconds
+        for a job to open (returned) or the queue to drain (``None``).
+        """
+        return self.backend.claim(
+            worker_id, lease_s=lease_s, now=now, wait_s=wait_s
+        )
 
     def heartbeat(self, job: Job, now: "float | None" = None) -> bool:
         """Refresh the lease; False means it was lost (stop working)."""
@@ -813,25 +855,26 @@ class WorkerStats:
 
 
 class _Heartbeat:
-    """A daemon thread refreshing one job's lease on its own connection."""
+    """A daemon thread refreshing one job's lease.
 
-    def __init__(self, spawn, job: Job, interval_s: float) -> None:
+    ``backend`` is the worker's heartbeat connection, separate from the
+    one it claims and completes on; jobs run one at a time, so one
+    connection serves every job's heartbeat in turn.
+    """
+
+    def __init__(self, backend: QueueBackend, job: Job, interval_s: float) -> None:
         self.lost = False
         self._stop = threading.Event()
         self._thread = threading.Thread(
-            target=self._run, args=(spawn, job, interval_s), daemon=True
+            target=self._run, args=(backend, job, interval_s), daemon=True
         )
         self._thread.start()
 
-    def _run(self, spawn, job: Job, interval_s: float) -> None:
-        backend = spawn()
-        try:
-            while not self._stop.wait(interval_s):
-                if not backend.heartbeat(job):
-                    self.lost = True
-                    return
-        finally:
-            backend.close()
+    def _run(self, backend: QueueBackend, job: Job, interval_s: float) -> None:
+        while not self._stop.wait(interval_s):
+            if not backend.heartbeat(job):
+                self.lost = True
+                return
 
     def stop(self) -> None:
         self._stop.set()
@@ -875,12 +918,15 @@ def run_worker(
     :class:`~repro.runtime.transport.RemoteStore`; ``queue_path`` /
     ``store_root`` must then be None.
 
-    Empty claims back off: consecutive idle polls wait
-    ``min(idle_cap_s, poll_s * 2**idle)`` with deterministic jitter
-    (reset by the next successful claim), so a large idle fleet probes
-    the queue at a trickle instead of hammering it at ``1/poll_s`` Hz.
-    ``sleep`` and ``clock`` are injectable for tests (default
-    ``time.sleep`` / ``time.monotonic``).
+    Idle steps back off: after the ``idle``-th consecutive empty claim
+    the next claim may wait ``min(idle_cap_s, poll_s * 2**idle)`` with
+    deterministic jitter (reset by the next successful claim) as its
+    ``wait_s``.  The claim returns as soon as a job is submitted or the
+    queue drains, so an idle worker wakes on submission, yet a large
+    idle fleet still probes the queue at a trickle.  ``clock`` (default
+    ``time.monotonic``) times the ``max_idle_s`` grace; ``sleep``
+    (default ``time.sleep``) is the worker's one remaining real sleep,
+    the ``stall`` fault's wedge.  Both are injectable for tests.
 
     ``faults`` applies the deterministic injectors from
     :mod:`repro.runtime.faults` — see that module for the taxonomy.
@@ -912,7 +958,10 @@ def run_worker(
     backlog: "list[Job]" = []
     idle_since: "float | None" = None
     idle_polls = 0  # consecutive empty claims since the last success
+    wait_s = 0.0  # how long the next claim may wait for work
+    beats: "QueueBackend | None" = None
     try:
+        beats = queue.backend.spawn()
         while True:
             if should_stop is not None and should_stop():
                 for job in backlog:
@@ -924,7 +973,8 @@ def run_worker(
             if max_jobs is not None:
                 budget = min(budget, max_jobs - stats.claimed)
             for _ in range(budget):
-                job = queue.claim(worker_id, lease_s=lease_s)
+                job = queue.claim(worker_id, lease_s=lease_s, wait_s=wait_s)
+                wait_s = 0.0  # prefetch beyond the first claim never waits
                 if job is None:
                     break
                 idle_polls = 0
@@ -933,25 +983,24 @@ def run_worker(
             if not backlog:
                 if max_jobs is not None and stats.claimed >= max_jobs:
                     break
-                total = queue.total()
-                if total > 0 and queue.unfinished() == 0:
-                    break  # drained: every row is done or quarantined
+                counts = queue.counts()
+                if drained(counts):
+                    break  # every row is done or quarantined
                 if idle_since is None:
                     idle_since = clock()
                 if (
-                    total == 0
+                    sum(counts.values()) == 0
                     and max_idle_s is not None
                     and clock() - idle_since >= max_idle_s
                 ):
                     break  # nothing was ever submitted within the grace
                 # Exponent clamped: past ~2**30 the doubling is
                 # academic and 2.0**idle_polls overflows a float.
-                delay = min(idle_cap_s, poll_s * 2.0 ** min(idle_polls, 30))
-                delay *= 1.0 + 0.25 * _backoff_jitter(
+                wait_s = min(idle_cap_s, poll_s * 2.0 ** min(idle_polls, 30))
+                wait_s *= 1.0 + 0.25 * _backoff_jitter(
                     worker_id, "idle", idle_polls
                 )
                 idle_polls += 1
-                sleep(delay)
                 continue
             idle_since = None
             job = backlog.pop(0)
@@ -960,14 +1009,14 @@ def run_worker(
                 if faults is not None
                 else None
             )
-            heartbeat = _Heartbeat(queue.backend.spawn, job, heartbeat_s)
+            heartbeat = _Heartbeat(beats, job, heartbeat_s)
             try:
                 if fault is not None and fault.kind == "crash":
                     # SIGKILL equivalent: no cleanup, no finally blocks.
                     os._exit(137)
                 if fault is not None and fault.kind == "stall":
                     heartbeat.stop()
-                    time.sleep(fault.stall_s)
+                    sleep(fault.stall_s)
                 if fault is not None and fault.kind == "error":
                     raise InjectedFault(
                         f"injected transient error on "
@@ -1007,6 +1056,8 @@ def run_worker(
             finally:
                 heartbeat.stop()
     finally:
+        if beats is not None:
+            beats.close()
         queue.close()
         if dispatcher is not None:
             store.close()

@@ -72,7 +72,10 @@ __all__ = [
     "encode_payload",
 ]
 
-DISPATCH_PROTOCOL_VERSION = 1
+# 2: ``claim`` takes ``wait_s`` and the dispatcher parks an empty claim.
+# A version-1 dispatcher would ignore ``wait_s`` and answer at once, so
+# a new worker's idle loop would spin against it; ``hello`` refuses.
+DISPATCH_PROTOCOL_VERSION = 2
 
 # Same generous frame cap as the streaming server: a result blob for one
 # shard is a few hundred bytes of base64; anything near the cap is a
@@ -124,6 +127,19 @@ class Job:
         )
 
 
+def drained(counts: "dict[str, int]") -> bool:
+    """The queue holds jobs and none is open or leased (all finished)."""
+    return sum(counts.values()) > 0 and counts["open"] + counts["leased"] == 0
+
+
+def check_wait_s(wait_s) -> float:
+    """Validate a claim's ``wait_s`` (seconds, ``>= 0``) as a float."""
+    wait_s = float(wait_s)
+    if not wait_s >= 0.0:  # also rejects NaN
+        raise ValueError(f"wait_s must be non-negative, got {wait_s}")
+    return wait_s
+
+
 def _backoff_jitter(spec_key: str, fingerprint: str, attempt: int) -> float:
     """Deterministic uniform in [0, 1) — same delay on every machine."""
     digest = hashlib.sha256(
@@ -146,6 +162,10 @@ class QueueBackend(abc.ABC):
       drive the lease clock logically;
     * ``submit`` is idempotent on ``(spec_key, fingerprint)``;
     * ``claim`` reaps expired peers first and increments ``attempt``;
+      with ``wait_s > 0`` an empty claim waits for a job to open, for
+      the queue to drain (returns ``None`` early) or for ``wait_s`` to
+      pass, re-trying after each change another client commits; the
+      waiting claim holds no lease;
     * ``heartbeat`` / ``complete`` / ``fail`` / ``release`` are *fenced*:
       they apply only while the row is still ``leased`` to the caller's
       ``worker_id``, so a reclaimed worker's late writes are rejected.
@@ -186,8 +206,13 @@ class QueueBackend(abc.ABC):
         worker_id: str,
         lease_s: float = DEFAULT_LEASE_S,
         now: "float | None" = None,
+        wait_s: float = 0.0,
     ) -> "Job | None":
-        """Atomically lease the oldest claimable open job, if any."""
+        """Atomically lease the oldest claimable open job, if any.
+
+        With ``wait_s > 0`` an empty claim waits up to ``wait_s`` seconds
+        for a job to open (returned) or the queue to drain (``None``).
+        """
 
     @abc.abstractmethod
     def heartbeat(self, job: Job, now: "float | None" = None) -> bool:
@@ -602,9 +627,26 @@ class RemoteBackend(QueueBackend):
         worker_id: str,
         lease_s: float = DEFAULT_LEASE_S,
         now: "float | None" = None,
+        wait_s: float = 0.0,
     ) -> "Job | None":
+        """Lease a job; the dispatcher parks an empty claim up to ``wait_s``.
+
+        ``wait_s`` must stay below the channel's ``timeout_s``: a parked
+        claim that outlived the socket timeout would be re-sent by the
+        reconnect path and lease a second job.
+        """
+        wait_s = check_wait_s(wait_s)
+        if wait_s >= self._channel.timeout_s:
+            raise ValueError(
+                f"wait_s={wait_s:g} must be below the channel timeout_s="
+                f"{self._channel.timeout_s:g}"
+            )
         reply = self._channel.rpc(
-            "claim", worker_id=worker_id, lease_s=float(lease_s), now=now
+            "claim",
+            worker_id=worker_id,
+            lease_s=float(lease_s),
+            now=now,
+            wait_s=wait_s,
         )
         if reply["job"] is None:
             return None

@@ -8,7 +8,10 @@ store), the fencing-token echo on ``complete``, and restart durability.
 """
 
 import json
+import os
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from repro.runtime.dispatcher import DispatcherThread
 from repro.runtime.transport import (
     MAX_FRAME_BYTES,
     RemoteBackend,
+    RemoteStore,
     encode_payload,
 )
 
@@ -202,6 +206,70 @@ class TestFencingOnTheWire:
         finally:
             fh.close()
             sock.close()
+
+
+class TestParkedClaims:
+    def test_parked_claims_leave_other_verbs_served(self, dispatcher):
+        # More parked claims than asyncio's default thread pool has
+        # threads (min(32, cpu + 4)): were they parked in pool threads,
+        # every other verb would queue behind them.
+        n = min(32, (os.cpu_count() or 1) + 4) + 2
+        results = []
+
+        def claimant(i):
+            with RemoteBackend(dispatcher.address) as backend:
+                job = backend.claim(f"w{i}", wait_s=10.0)
+                if job is not None:
+                    assert backend.complete(job)  # drains: all return
+                results.append(job)
+
+        threads = [
+            threading.Thread(target=claimant, args=(i,), daemon=True)
+            for i in range(n)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        # One hello and one empty claim attempt per claimant.
+        while dispatcher.server.requests < 2 * n:
+            assert time.monotonic() < deadline, "claims never parked"
+            time.sleep(0.01)
+        with RemoteBackend(dispatcher.address) as backend:
+            with RemoteStore(dispatcher.address) as store:
+                for call in (
+                    backend.counts,
+                    lambda: store.get("s", "fp"),
+                    lambda: backend.submit("s", "fp0", {}, {"kind": "noop"}),
+                ):
+                    t0 = time.monotonic()
+                    call()
+                    assert time.monotonic() - t0 < 0.5
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == n
+        assert sum(job is not None for job in results) == 1
+
+    def test_a_hung_up_parked_claim_leases_nothing(self, dispatcher):
+        # A worker killed while its claim is parked must not be handed
+        # the next job: that lease would idle until it expired.
+        sock, fh = raw_conn(dispatcher)
+        send_line(fh, json.dumps(
+            {"op": "claim", "worker_id": "dead", "wait_s": 10.0}
+        ).encode())
+        deadline = time.monotonic() + 10.0
+        while dispatcher.server.requests < 1:
+            assert time.monotonic() < deadline, "claim never parked"
+            time.sleep(0.01)
+        fh.close()
+        sock.close()
+        time.sleep(0.2)  # the hang-up reaches the dispatcher
+        with RemoteBackend(dispatcher.address) as backend:
+            backend.submit("s", "fp0", {}, {"kind": "noop"})
+            time.sleep(0.2)  # the parked claim is woken by the submit
+            assert backend.counts()["open"] == 1
+            job = backend.claim("alive", wait_s=1.0)
+            assert job is not None and job.attempt == 1
 
 
 class TestRestartDurability:

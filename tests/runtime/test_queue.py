@@ -12,6 +12,7 @@ the conformance suite for the :class:`QueueBackend` contract.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,49 @@ class TestLeaseLifecycle:
         assert queue.complete(fresh, now=not_before + 2.0)
 
 
+class TestClaimWait:
+    """``claim(wait_s=...)``: the wait ends on a job, a drain or time."""
+
+    def test_parked_claim_returns_none_when_wait_s_ends(self, queue):
+        submit_n(queue, 1)
+        held = queue.claim("holder", lease_s=60.0)  # not drained, no job
+        t0 = time.monotonic()
+        assert queue.claim("w1", wait_s=0.3) is None
+        waited = time.monotonic() - t0
+        assert 0.29 <= waited < 2.0
+        assert queue.complete(held)
+
+    def test_parked_claim_wakes_on_submit(self, queue):
+        # A waiting claim occupies its connection; the job arrives
+        # through another one, as it does when a sweep is submitted.
+        def submit_from_peer():
+            with queue.backend.spawn() as peer:
+                submit_n(peer, 1)
+
+        timer = threading.Timer(0.2, submit_from_peer)
+        t0 = time.monotonic()
+        timer.start()
+        try:
+            job = queue.claim("w1", wait_s=10.0)
+        finally:
+            timer.join(timeout=10.0)
+        assert not timer.is_alive()
+        assert job is not None and job.fingerprint == "fp0"
+        assert time.monotonic() - t0 < 2.0
+
+    def test_negative_wait_s_rejected(self, queue):
+        with pytest.raises(ValueError, match="wait_s"):
+            queue.claim("w1", wait_s=-0.1)
+
+    def test_remote_wait_s_must_stay_below_the_channel_timeout(self, tmp_path):
+        with DispatcherThread(":memory:", str(tmp_path / "store")) as d:
+            with RemoteBackend(d.address, timeout_s=2.0) as backend:
+                for wait_s in (2.0, 5.0):
+                    with pytest.raises(ValueError, match="timeout_s"):
+                        backend.claim("w1", wait_s=wait_s)
+                assert backend.claim("w1", wait_s=0.05) is None
+
+
 class TestRetriesAndQuarantine:
     def test_fail_reopens_with_backoff_until_exhausted(self, queue):
         submit_n(queue, 1, max_attempts=3)
@@ -355,24 +399,45 @@ class TestRunWorker:
         )
         assert stats.claimed == 0
 
-    def test_idle_polls_back_off_exponentially_to_a_cap(self, tmp_path):
+    @staticmethod
+    def spy_on_claim_waits(monkeypatch, on_wait):
+        """Route ``ExperimentQueue.claim`` through a spy.
+
+        Each waiting claim (``wait_s > 0``, one idle step) is reported
+        to ``on_wait(wait_s)`` — which advances the test's fake clock —
+        and then runs without the wait, so the test takes no wall time.
+        """
+        real_claim = ExperimentQueue.claim
+
+        def spy(self, worker_id, lease_s=30.0, now=None, wait_s=0.0):
+            if wait_s:
+                on_wait(wait_s)
+            return real_claim(self, worker_id, lease_s=lease_s, now=now)
+
+        monkeypatch.setattr(ExperimentQueue, "claim", spy)
+
+    def test_idle_polls_back_off_exponentially_to_a_cap(
+        self, tmp_path, monkeypatch
+    ):
         # An idle worker must probe at a decaying rate, not a fixed
-        # 1/poll_s hammer: delays double from poll_s up to idle_cap_s
-        # (plus bounded deterministic jitter), driven here by an
-        # injectable clock/sleep so the test takes zero wall time.
-        delays = []
+        # 1/poll_s hammer: the waits its claims are given double from
+        # poll_s up to idle_cap_s (plus bounded deterministic jitter),
+        # recorded here by a claim spy driving an injectable clock.
+        runs = [[]]  # the idle waits of each run_worker call
         t = [0.0]
 
-        def fake_sleep(s):
-            delays.append(s)
+        def fake_wait(s):
+            runs[-1].append(s)
             t[0] += s
 
+        self.spy_on_claim_waits(monkeypatch, fake_wait)
         stats = run_worker(
             tmp_path / "q.db", tmp_path / "store",
             worker_id="idler", poll_s=0.1, idle_cap_s=2.0,
-            max_idle_s=30.0, sleep=fake_sleep, clock=lambda: t[0],
+            max_idle_s=30.0, clock=lambda: t[0],
         )
         assert stats.claimed == 0
+        delays = runs[0]
         assert len(delays) >= 6
         bare = [min(2.0, 0.1 * 2.0**k) for k in range(len(delays))]
         for delay, base in zip(delays, bare):
@@ -381,18 +446,19 @@ class TestRunWorker:
         assert delays[0] < delays[1] < delays[2] < delays[3]
         assert max(delays) <= 2.0 * 1.25
         # Deterministic: the same worker re-run sees the same schedule.
-        rerun = []
+        runs.append([])
         t[0] = 0.0
         run_worker(
             tmp_path / "q.db", tmp_path / "store",
             worker_id="idler", poll_s=0.1, idle_cap_s=2.0,
-            max_idle_s=30.0, sleep=lambda s: (rerun.append(s), t.__setitem__(0, t[0] + s)),
-            clock=lambda: t[0],
+            max_idle_s=30.0, clock=lambda: t[0],
         )
-        assert rerun == delays
+        assert runs[1] == delays
 
-    def test_idle_backoff_resets_after_a_successful_claim(self, tmp_path):
-        # Submit nothing at first; during the third idle sleep a job
+    def test_idle_backoff_resets_after_a_successful_claim(
+        self, tmp_path, monkeypatch
+    ):
+        # Submit nothing at first; during the third idle wait a job
         # appears.  Its first attempt hits an injected transient error
         # (requeued with a retry not_before in the future), so the very
         # next poll is empty again — and having just claimed, it must
@@ -403,17 +469,18 @@ class TestRunWorker:
         delays = []
         t = [0.0]
 
-        def fake_sleep(s):
+        def fake_wait(s):
             delays.append(s)
             t[0] += s
             if len(delays) == 3:
                 with ExperimentQueue(tmp_path / "q.db") as queue:
                     queue.submit_dataset(spec, dataset)
 
+        self.spy_on_claim_waits(monkeypatch, fake_wait)
         stats = run_worker(
             tmp_path / "q.db", tmp_path / "store",
             worker_id="idler", poll_s=0.1, idle_cap_s=2.0,
-            max_idle_s=1000.0, sleep=fake_sleep, clock=lambda: t[0],
+            max_idle_s=1000.0, clock=lambda: t[0],
             faults=FaultPlan(
                 faults=(FaultSpec(kind="error", match="", attempts=(1,)),)
             ),
@@ -421,7 +488,7 @@ class TestRunWorker:
         assert stats.requeued == 1
         assert stats.completed == 1  # attempt 2 drains the queue
         # Ladder climbed for 3 rungs pre-claim; the claim reset it, so
-        # the first post-claim idle poll is back at the base rung.
+        # the first post-claim idle wait is back at the base rung.
         assert delays[1] > delays[0]
         assert delays[2] > delays[1]
         assert delays[3] <= 0.1 * 1.25
@@ -547,3 +614,75 @@ class TestRunWorker:
         result = Experiment(spec, store=store).dataset_sweep(dataset)
         serial = Experiment(spec).dataset_sweep(dataset)
         assert np.array_equal(result.correlations_pct, serial.correlations_pct)
+
+
+@pytest.fixture(params=["sqlite", "remote"])
+def worker_target(request, tmp_path):
+    """``(run_worker kwargs, queue factory)`` for one backend."""
+    db, store = tmp_path / "q.db", tmp_path / "store"
+    if request.param == "sqlite":
+        yield {"queue_path": db, "store_root": store}, lambda: ExperimentQueue(db)
+        return
+    with DispatcherThread(str(db), str(store)) as d:
+        host, port = d.address
+        yield (
+            {"dispatcher": f"{host}:{port}"},
+            lambda: ExperimentQueue(RemoteBackend(d.address)),
+        )
+
+
+class TestWakeOnSubmit:
+    """An idle worker's claim waits for work instead of sleeping: a 5 s
+    idle step ends as soon as a job arrives or the queue drains."""
+
+    WAKE_S = 0.5
+
+    @staticmethod
+    def start_idle_worker(kwargs):
+        out = {}
+
+        def run():
+            out["stats"] = run_worker(
+                **kwargs, worker_id="idler", lease_s=10.0,
+                poll_s=5.0, idle_cap_s=5.0, max_idle_s=None,
+            )
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        time.sleep(0.3)  # past the first empty claim: parked on a 5 s step
+        return thread, out
+
+    def test_idle_worker_claims_within_half_a_second_of_submit(
+        self, worker_target
+    ):
+        kwargs, open_queue = worker_target
+        spec = ExperimentSpec.for_scheme("datc")
+        dataset = DatasetSpec(n_patterns=1, duration_s=2.0, seed=2015)
+        thread, out = self.start_idle_worker(kwargs)
+        with open_queue() as queue:
+            t0 = time.monotonic()
+            queue.submit_dataset(spec, dataset)
+            while queue.counts()["open"] and time.monotonic() - t0 < 10.0:
+                time.sleep(0.005)
+            claimed_s = time.monotonic() - t0
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert claimed_s < self.WAKE_S
+        assert out["stats"].completed == 1
+
+    def test_parked_worker_exits_within_half_a_second_of_the_drain(
+        self, worker_target
+    ):
+        kwargs, open_queue = worker_target
+        with open_queue() as queue:
+            submit_n(queue, 1)
+            peer_job = queue.claim("peer", lease_s=60.0)
+            thread, out = self.start_idle_worker(kwargs)
+            assert thread.is_alive()  # the peer's lease keeps it waiting
+            t0 = time.monotonic()
+            assert queue.complete(peer_job)
+            thread.join(timeout=10.0)
+            exit_s = time.monotonic() - t0
+        assert not thread.is_alive()
+        assert exit_s < self.WAKE_S
+        assert out["stats"].claimed == 0

@@ -185,40 +185,43 @@ class TestDispatchChannel:
 
 class TestRemoteBackend:
     def test_protocol_version_mismatch_refused(self):
-        # A fake dispatcher speaking a future protocol: the client must
-        # refuse the handshake, not limp along mis-framed.
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
+        # A fake dispatcher speaking a future protocol, or protocol 1
+        # (whose claim ignores wait_s, so an idle worker would spin
+        # against it): the client must refuse the handshake, not limp
+        # along.
+        for protocol in (DISPATCH_PROTOCOL_VERSION + 1, 1):
+            listener = socket.socket()
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            port = listener.getsockname()[1]
 
-        def serve_once():
-            conn, _ = listener.accept()
-            fh = conn.makefile("rwb")
-            fh.readline()
-            fh.write(
-                json.dumps(
-                    {
-                        "ok": True,
-                        "protocol": DISPATCH_PROTOCOL_VERSION + 1,
-                        "backoff_base_s": 0.5,
-                        "backoff_cap_s": 30.0,
-                        "backoff_jitter": 0.25,
-                    }
-                ).encode()
-                + b"\n"
-            )
-            fh.flush()
-            conn.close()
+            def serve_once():
+                conn, _ = listener.accept()
+                fh = conn.makefile("rwb")
+                fh.readline()
+                fh.write(
+                    json.dumps(
+                        {
+                            "ok": True,
+                            "protocol": protocol,
+                            "backoff_base_s": 0.5,
+                            "backoff_cap_s": 30.0,
+                            "backoff_jitter": 0.25,
+                        }
+                    ).encode()
+                    + b"\n"
+                )
+                fh.flush()
+                conn.close()
 
-        thread = threading.Thread(target=serve_once, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(TransportError, match="protocol"):
-                RemoteBackend(("127.0.0.1", port), retry_window_s=2.0)
-        finally:
-            listener.close()
-            thread.join(timeout=5.0)
+            thread = threading.Thread(target=serve_once, daemon=True)
+            thread.start()
+            try:
+                with pytest.raises(TransportError, match="protocol"):
+                    RemoteBackend(("127.0.0.1", port), retry_window_s=2.0)
+            finally:
+                listener.close()
+                thread.join(timeout=5.0)
 
     def test_hello_copies_server_backoff_schedule(self, dispatcher):
         backend = RemoteBackend(dispatcher.address)
