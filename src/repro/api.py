@@ -1034,7 +1034,8 @@ class Experiment:
         ``(spec.key(), dataset-point fingerprint)`` — the fingerprint
         hashes the dataset's generating spec, not the samples, so a warm
         re-run performs **zero** re-evaluations (no synthesis, no encode,
-        no decode).
+        no decode).  Each store is read with one ``get_many``: a single
+        round trip on a :class:`~repro.runtime.transport.RemoteStore`.
 
         ``alongside`` sweeps further experiments over the same patterns
         in the same pass and returns ``(own result, *their results)``.
@@ -1063,9 +1064,10 @@ class Experiment:
         for k, experiment in enumerate(experiments):
             if experiment.store is None:
                 continue
-            key = experiment.spec.key()
-            for i in range(n):
-                cached = experiment.store.get(key, fingerprints[i])
+            entries = experiment.store.get_many(
+                experiment.spec.key(), fingerprints
+            )
+            for i, cached in enumerate(entries):
                 if cached is not None:
                     need[k, i] = False
                     corrs[k][i] = float(cached["correlation_pct"])

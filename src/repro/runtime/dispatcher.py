@@ -29,10 +29,21 @@ Design notes:
   corrupted upload is an error reply, not a poisoned cache entry);
   ``store_get`` re-encodes from disk with a fresh checksum the client
   verifies on arrival.
+* **Every verb runs on the event loop.**  Verbs are short sqlite
+  statements and small file reads/writes, and a hop through a pool
+  thread cost more CPU than most verbs themselves.  The trade-off: a
+  sqlite lock wait (another process writing the jobs file) stalls every
+  connection until it clears.  It already stalled every queue verb,
+  since they all share the backend's one connection and lock.
+* **A collect is one round trip.**  ``store_get`` with
+  ``fingerprints: [...]`` answers ``payloads: [...]`` (``null`` for a
+  miss).  A reply never exceeds
+  :data:`~repro.runtime.transport.MAX_FRAME_BYTES`: past that the
+  dispatcher answers a prefix and the client asks for the rest.
 * **Idle claims are parked, not polled.**  A ``claim`` with
-  ``wait_s > 0`` that finds no job waits on the event loop (not in a
-  pool thread, so any number of parked claims leave every other verb
-  served).  Each successful mutating verb but ``heartbeat`` wakes the
+  ``wait_s > 0`` that finds no job waits on the event loop between
+  attempts, so any number of parked claims leave every other verb
+  served.  Each successful mutating verb but ``heartbeat`` wakes the
   parked claims, which claim again; a parked claim answers with a job,
   with ``null`` as soon as the queue is drained, or with ``null`` once
   ``wait_s`` has passed.
@@ -69,6 +80,10 @@ __all__ = ["DispatcherServer", "DispatcherThread"]
 # wakes the parked claims.
 _WAKE_OPS = frozenset({"submit", "complete", "fail", "release", "reset", "reap"})
 
+# Room a batch ``store_get`` reply keeps for its envelope
+# (``{"payloads":[...],"ok":true}`` and the newline).
+_REPLY_OVERHEAD = 64
+
 
 class DispatcherServer:
     """The asyncio request/reply server over one sqlite backend + store.
@@ -85,9 +100,11 @@ class DispatcherServer:
         Bind address; port 0 picks a free port (read :attr:`address`
         after :meth:`start`).
 
-    Handlers run in a worker thread (``asyncio.to_thread``) so a slow
-    sqlite write never stalls the event loop's accept/read path; an
-    empty waiting ``claim`` parks on the loop between attempts.
+    Every verb runs on the event loop thread, with no pool-thread hop:
+    the hop cost more CPU than the verbs.  A sqlite lock wait therefore
+    stalls every connection, as it already stalled every queue verb
+    through the backend's shared lock.  An empty waiting ``claim`` parks
+    on the loop between attempts.
     """
 
     def __init__(
@@ -201,12 +218,12 @@ class DispatcherServer:
         await writer.drain()
 
     async def _serve(self, request: dict, reader) -> dict:
-        """Apply one verb in a pool thread; park an empty waiting claim."""
+        """Apply one verb on the loop; park an empty waiting claim."""
         op = request.get("op")
         wait_s = request.get("wait_s") if op == "claim" else None
         if isinstance(wait_s, (int, float)) and wait_s > 0:
             return await self._parked_claim(request, wait_s, reader)
-        reply = await asyncio.to_thread(self._dispatch, request)
+        reply = self._dispatch(request)
         if reply["ok"] and op in _WAKE_OPS:
             self._wake_claims()
         return reply
@@ -216,7 +233,7 @@ class DispatcherServer:
         deadline = loop.time() + wait_s
         while True:
             wake = self._wake  # taken before the attempt: no lost wakeup
-            reply = await asyncio.to_thread(self._dispatch, request)
+            reply = self._dispatch(request)
             if not reply["ok"] or reply["job"] is not None or reply.pop("drained"):
                 return reply
             remaining = deadline - loop.time()
@@ -237,7 +254,7 @@ class DispatcherServer:
         self._wake = asyncio.Event()
 
     # ------------------------------------------------------------------
-    # Verb dispatch (runs in a worker thread)
+    # Verb dispatch (runs on the event loop)
     # ------------------------------------------------------------------
     def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
@@ -280,8 +297,8 @@ class DispatcherServer:
         return {"inserted": inserted}
 
     def _op_claim(self, request: dict) -> dict:
-        # One attempt, never a wait in this pool thread: the event loop
-        # parks a waiting claim, told by ``drained`` whether to go on.
+        # One attempt, never a wait here: the event loop parks a waiting
+        # claim, told by ``drained`` whether to go on.
         wait_s = check_wait_s(request.get("wait_s") or 0.0)
         job = self.backend.claim(
             str(request["worker_id"]),
@@ -340,12 +357,28 @@ class DispatcherServer:
         return {"stored": True}
 
     def _op_store_get(self, request: dict) -> dict:
-        arrays = self.store.get(
-            str(request["spec_key"]), str(request["fingerprint"])
-        )
-        return {
-            "payload": None if arrays is None else encode_payload(arrays)
-        }
+        spec_key = str(request["spec_key"])
+        if "fingerprints" not in request:
+            arrays = self.store.get(spec_key, str(request["fingerprint"]))
+            return {
+                "payload": None if arrays is None else encode_payload(arrays)
+            }
+        fingerprints = request["fingerprints"]
+        if not isinstance(fingerprints, list):
+            raise TypeError("store_get fingerprints must be a list")
+        # The batch form answers the longest prefix that fits one frame
+        # (at least one entry, so every reply makes progress); the
+        # client asks again for the rest.
+        budget = MAX_FRAME_BYTES - _REPLY_OVERHEAD
+        payloads = []
+        for fingerprint in fingerprints:
+            arrays = self.store.get(spec_key, str(fingerprint))
+            payload = None if arrays is None else encode_payload(arrays)
+            budget -= len(json.dumps(payload, separators=(",", ":"))) + 1
+            if budget < 0 and payloads:
+                break
+            payloads.append(payload)
+        return {"payloads": payloads}
 
     def _op_store_has(self, request: dict) -> dict:
         path = self.store.path_for(

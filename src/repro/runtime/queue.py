@@ -67,6 +67,7 @@ clock logically; production callers leave it ``None`` (wall clock).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import signal
@@ -784,6 +785,26 @@ class ExperimentQueue:
 # ----------------------------------------------------------------------
 # Job execution
 # ----------------------------------------------------------------------
+def _canonical(fields: dict) -> str:
+    """A job field's canonical JSON (the :func:`_sweep_context` key)."""
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_context(spec_json: str, dataset_json: str) -> tuple:
+    """``(spec, dataset, spec key, dataset fingerprint)`` for one sweep.
+
+    Every job of a sweep carries the same spec and dataset fields, so a
+    worker derives these once per sweep instead of once per job.
+    """
+    from ..api import ExperimentSpec, dataset_fingerprint
+    from ..signals.dataset import DatasetSpec
+
+    spec = ExperimentSpec.from_dict(json.loads(spec_json))
+    dataset = DatasetSpec(**json.loads(dataset_json))
+    return spec, dataset, spec.key(), dataset_fingerprint(dataset)
+
+
 def execute_job(job: Job, store) -> int:
     """Run one claimed job against the shared store; returns evaluations.
 
@@ -794,36 +815,30 @@ def execute_job(job: Job, store) -> int:
     addresses a cached :meth:`~repro.api.Experiment.dataset_sweep` reads.
     Skipping already-stored patterns makes re-runs of a reclaimed,
     half-finished shard cheap and keeps every path idempotent.  ``store``
-    is any object with the store ``get``/``put`` surface — the on-disk
+    is any object with the store ``get_many``/``put`` surface — the on-disk
     :class:`~repro.runtime.store.ResultStore` or a
     :class:`~repro.runtime.transport.RemoteStore` shipping blobs to the
     dispatcher.
     """
-    from ..api import (
-        Experiment,
-        ExperimentSpec,
-        dataset_fingerprint,
-        dataset_point_fingerprint,
-    )
-    from ..signals.dataset import DatasetSpec
+    from ..api import Experiment, dataset_point_fingerprint
 
     kind = job.payload.get("kind")
     if kind != "dataset_shard":
         raise ValueError(f"unknown job kind {kind!r}")
-    spec = ExperimentSpec.from_dict(job.spec)
-    dataset = DatasetSpec(**job.payload["dataset"])
+    spec, dataset, key, base = _sweep_context(
+        _canonical(job.spec), _canonical(job.payload["dataset"])
+    )
     ids = [int(i) for i in job.payload["ids"]]
-    base = dataset_fingerprint(dataset)
-    key = spec.key()
-    fingerprints = {i: dataset_point_fingerprint(base, i) for i in ids}
-    todo = [i for i in ids if store.get(key, fingerprints[i]) is None]
+    fingerprints = [dataset_point_fingerprint(base, i) for i in ids]
+    cached = store.get_many(key, fingerprints)
+    todo = [k for k, arrays in enumerate(cached) if arrays is None]
     if todo:
-        patterns = [dataset.pattern(i) for i in todo]
+        patterns = [dataset.pattern(ids[k]) for k in todo]
         results = Experiment(spec).run(patterns)
-        for i, result in zip(todo, results):
+        for k, result in zip(todo, results):
             store.put(
                 key,
-                fingerprints[i],
+                fingerprints[k],
                 {
                     "correlation_pct": np.float64(result.correlation_pct),
                     "n_events": np.int64(result.n_events),
@@ -855,30 +870,76 @@ class WorkerStats:
 
 
 class _Heartbeat:
-    """A daemon thread refreshing one job's lease.
+    """One daemon thread refreshing the lease of the job in hand.
 
     ``backend`` is the worker's heartbeat connection, separate from the
-    one it claims and completes on; jobs run one at a time, so one
-    connection serves every job's heartbeat in turn.
+    one it claims and completes on.  Jobs run one at a time, so one
+    thread serves every job in turn: :meth:`start` points it at a job,
+    :meth:`stop` detaches it, :meth:`close` ends the thread.
     """
 
-    def __init__(self, backend: QueueBackend, job: Job, interval_s: float) -> None:
-        self.lost = False
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, args=(backend, job, interval_s), daemon=True
-        )
+    def __init__(self, backend: QueueBackend, interval_s: float) -> None:
+        self.lost = False  # the current job's lease was found reclaimed
+        self._backend = backend
+        self._interval_s = interval_s
+        self._cond = threading.Condition()
+        self._job: "Job | None" = None
+        self._turn = 0  # bumped by every start/stop: a stale beat is dropped
+        self._beating = False  # a heartbeat call is in flight
+        self._closed = False
+        self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
-    def _run(self, backend: QueueBackend, job: Job, interval_s: float) -> None:
-        while not self._stop.wait(interval_s):
-            if not backend.heartbeat(job):
-                self.lost = True
-                return
+    def start(self, job: Job) -> None:
+        """Beat for ``job`` every ``interval_s`` until :meth:`stop`."""
+        with self._cond:
+            self._job = job
+            self._turn += 1
+            self.lost = False
+            self._cond.notify_all()
 
     def stop(self) -> None:
-        self._stop.set()
+        """Stop beating; on return no beat for the job is in flight or due."""
+        with self._cond:
+            self._job = None
+            self._turn += 1
+            self._cond.notify_all()
+            while self._beating:
+                self._cond.wait()
+
+    def close(self) -> None:
+        """Stop beating, end the thread and close its connection."""
+        with self._cond:
+            self._closed = True
+        self.stop()
         self._thread.join()
+        self._backend.close()
+
+    def _run(self) -> None:
+        with self._cond:
+            while not self._closed:
+                job, turn = self._job, self._turn
+                self._cond.wait_for(
+                    lambda: self._turn != turn or self._closed,
+                    None if job is None else self._interval_s,
+                )
+                if job is None or self._turn != turn or self._closed:
+                    continue
+                self._beating = True
+                self._cond.release()
+                try:
+                    applied = self._backend.heartbeat(job)
+                except Exception:
+                    # Unreachable past the retry window: treat the lease
+                    # as lost; its expiry fences this job's outcome.
+                    applied = False
+                finally:
+                    self._cond.acquire()
+                    self._beating = False
+                    self._cond.notify_all()
+                if not applied and self._turn == turn:
+                    self.lost = True
+                    self._job = None
 
 
 def run_worker(
@@ -959,9 +1020,9 @@ def run_worker(
     idle_since: "float | None" = None
     idle_polls = 0  # consecutive empty claims since the last success
     wait_s = 0.0  # how long the next claim may wait for work
-    beats: "QueueBackend | None" = None
+    heartbeat: "_Heartbeat | None" = None
     try:
-        beats = queue.backend.spawn()
+        heartbeat = _Heartbeat(queue.backend.spawn(), heartbeat_s)
         while True:
             if should_stop is not None and should_stop():
                 for job in backlog:
@@ -1009,7 +1070,7 @@ def run_worker(
                 if faults is not None
                 else None
             )
-            heartbeat = _Heartbeat(beats, job, heartbeat_s)
+            heartbeat.start(job)
             try:
                 if fault is not None and fault.kind == "crash":
                     # SIGKILL equivalent: no cleanup, no finally blocks.
@@ -1056,8 +1117,8 @@ def run_worker(
             finally:
                 heartbeat.stop()
     finally:
-        if beats is not None:
-            beats.close()
+        if heartbeat is not None:
+            heartbeat.close()
         queue.close()
         if dispatcher is not None:
             store.close()

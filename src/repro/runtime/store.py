@@ -35,6 +35,7 @@ import json
 import os
 import tempfile
 import threading
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,16 @@ class ResultStore:
         with self._lock:
             self.hits += 1
         return out
+
+    def get_many(
+        self, spec_key: str, fingerprints: "Sequence[str]"
+    ) -> "list[dict[str, np.ndarray] | None]":
+        """:meth:`get` for each fingerprint of one spec, in order.
+
+        The batch read the sweeps use; here it is one ``get`` per entry,
+        with the same counters and self-healing.
+        """
+        return [self.get(spec_key, fingerprint) for fingerprint in fingerprints]
 
     def _quarantine_corrupt(self, path: Path) -> None:
         """Delete a damaged entry and account for it as a miss."""

@@ -53,6 +53,7 @@ import json
 import socket
 import threading
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -75,12 +76,19 @@ __all__ = [
 # 2: ``claim`` takes ``wait_s`` and the dispatcher parks an empty claim.
 # A version-1 dispatcher would ignore ``wait_s`` and answer at once, so
 # a new worker's idle loop would spin against it; ``hello`` refuses.
-DISPATCH_PROTOCOL_VERSION = 2
+# 3: ``store_get`` takes ``fingerprints`` and answers ``payloads`` (a
+# prefix when the rest would overflow the frame).  A version-2
+# dispatcher would read the batch as a single missing key.
+DISPATCH_PROTOCOL_VERSION = 3
 
 # Same generous frame cap as the streaming server: a result blob for one
 # shard is a few hundred bytes of base64; anything near the cap is a
 # protocol violation, not a big result.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+# Most fingerprints one batch ``store_get`` request carries (~300 KB of
+# request frame); longer reads take several requests.
+_GET_BATCH = 4096
 
 STATUSES = ("open", "leased", "done", "error")
 DEFAULT_LEASE_S = 30.0
@@ -718,8 +726,8 @@ class RemoteStore:
     """A worker-side result store writing through the dispatcher's disk.
 
     Drop-in for the slice of :class:`~repro.runtime.store.ResultStore`
-    the execution path uses — ``get`` / ``put`` / ``has`` / ``stats``
-    with the same ``hits`` / ``misses`` / ``stores`` / ``corrupt``
+    the execution path uses — ``get`` / ``get_many`` / ``put`` / ``has``
+    / ``stats`` with the same ``hits`` / ``misses`` / ``stores`` / ``corrupt``
     counters — but entries live under the *dispatcher's* store root;
     nothing is written locally.  Addresses are the identical
     ``(spec_key, fingerprint)`` pairs, so a sweep collected on the
@@ -762,12 +770,40 @@ class RemoteStore:
         reply = self._channel.rpc(
             "store_get", spec_key=spec_key, fingerprint=fingerprint
         )
-        if reply["payload"] is None:
+        return self._verified(reply["payload"])
+
+    def get_many(
+        self, spec_key: str, fingerprints: "Sequence[str]"
+    ) -> "list[dict[str, np.ndarray] | None]":
+        """:meth:`get` for many fingerprints of one spec, in one round trip.
+
+        Entries come back in ``fingerprints`` order, ``None`` for a miss.
+        Each blob is verified on its own: a corrupt one counts as
+        ``corrupt`` + a miss for that entry only.  A batch too large for
+        one reply frame arrives over several.
+        """
+        fingerprints = list(fingerprints)
+        payloads: list = []
+        while len(payloads) < len(fingerprints):
+            done = len(payloads)
+            reply = self._channel.rpc(
+                "store_get",
+                spec_key=spec_key,
+                fingerprints=fingerprints[done:done + _GET_BATCH],
+            )
+            if not reply["payloads"]:
+                raise DispatchError("store_get answered an empty batch")
+            payloads.extend(reply["payloads"])
+        return [self._verified(payload) for payload in payloads]
+
+    def _verified(self, payload) -> "dict[str, np.ndarray] | None":
+        """Decode one downloaded blob, counting it as a hit or a miss."""
+        if payload is None:
             with self._lock:
                 self.misses += 1
             return None
         try:
-            arrays = decode_payload(reply["payload"])
+            arrays = decode_payload(payload)
         except ValueError:
             with self._lock:
                 self.corrupt += 1

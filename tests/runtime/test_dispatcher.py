@@ -272,6 +272,58 @@ class TestParkedClaims:
             assert job is not None and job.attempt == 1
 
 
+class TestStoreGetBatch:
+    def test_a_batch_reply_is_a_prefix_that_fits_the_frame(
+        self, dispatcher, monkeypatch
+    ):
+        import repro.runtime.dispatcher as dispatcher_mod
+
+        payload = encode_payload({"x": np.arange(32.0)})
+        size = len(json.dumps(payload, separators=(",", ":")))
+        cap = 3 * size + 200  # room for three payloads, not six
+        monkeypatch.setattr(dispatcher_mod, "MAX_FRAME_BYTES", cap)
+        fingerprints = [f"f{i}" for i in range(6)]
+        for fingerprint in fingerprints:
+            dispatcher.server.store.put("k", fingerprint, {"x": np.arange(32.0)})
+        sock, fh = raw_conn(dispatcher)
+        try:
+            send_line(fh, json.dumps({
+                "op": "store_get", "spec_key": "k",
+                "fingerprints": fingerprints + ["absent"],
+            }).encode())
+            line = fh.readline()
+            assert len(line) <= cap
+            first = json.loads(line)["payloads"]
+            assert 0 < len(first) < len(fingerprints)
+            rest = rpc(
+                fh, op="store_get", spec_key="k",
+                fingerprints=(fingerprints + ["absent"])[len(first):],
+            )["payloads"]
+        finally:
+            fh.close()
+            sock.close()
+        assert len(first) + len(rest) == 7
+        assert rest[-1] is None
+        assert all(p is not None for p in first + rest[:-1])
+
+
+class TestVerbsRunOnTheLoop:
+    def test_serving_verbs_never_creates_a_default_executor(self, dispatcher):
+        with RemoteBackend(dispatcher.address) as backend:
+            with RemoteStore(dispatcher.address) as store:
+                backend.submit("s", "fp0", {}, {"kind": "noop"})
+                job = backend.claim("w", wait_s=1.0)
+                assert backend.heartbeat(job)
+                store.put("s", "fp0", {"x": np.arange(3.0)})
+                assert store.get_many("s", ["fp0", "fp1"])[1] is None
+                assert store.get("s", "fp0") is not None
+                assert backend.complete(job)
+                assert backend.claim("w", wait_s=1.0) is None  # drained
+                assert backend.counts()["done"] == 1
+        assert dispatcher.server.requests >= 9
+        assert dispatcher._loop._default_executor is None
+
+
 class TestRestartDurability:
     def test_rows_survive_a_dispatcher_restart(self, tmp_path):
         # The dispatcher is disposable: all durable state is the sqlite

@@ -26,6 +26,7 @@ from repro.api import (
 from repro.runtime.dispatcher import DispatcherThread
 from repro.runtime.executors import RemoteTraceback
 from repro.runtime.faults import FaultPlan, FaultSpec
+import repro.runtime.queue as queue_mod
 from repro.runtime.queue import (
     DEFAULT_MAX_ATTEMPTS,
     ExperimentQueue,
@@ -370,6 +371,42 @@ class TestExecuteJob:
             assert entry["n_events"] == serial.n_events[i]
 
 
+    def test_a_sweeps_jobs_hash_the_dataset_once(self, tmp_path, monkeypatch):
+        import repro.api as api_mod
+        import repro.runtime.queue as queue_mod
+
+        spec = ExperimentSpec.for_scheme("datc")
+        dataset = DatasetSpec(n_patterns=32, duration_s=1.0, seed=2015)
+        store = ResultStore(tmp_path / "store")
+        hashed = []
+
+        def counting_fingerprint(value):
+            hashed.append(value)
+            return dataset_fingerprint(value)
+
+        with ExperimentQueue(tmp_path / "q.db") as queue:
+            assert queue.submit_dataset(spec, dataset, shard_size=1) == 32
+            queue_mod._sweep_context.cache_clear()
+            monkeypatch.setattr(
+                api_mod, "dataset_fingerprint", counting_fingerprint
+            )
+            evaluated = 0
+            while (job := queue.claim("w1", lease_s=60.0)) is not None:
+                evaluated += execute_job(job, store)
+                assert queue.complete(job)
+        monkeypatch.undo()
+        assert evaluated == 32
+        assert len(hashed) == 1
+        reference = ResultStore(tmp_path / "reference")
+        serial = Experiment(spec, store=reference).dataset_sweep(dataset)
+        assert [p.name for p in store._entry_paths()] == [
+            p.name for p in reference._entry_paths()
+        ]
+        warm = Experiment(spec, store=store).dataset_sweep(dataset)
+        assert np.array_equal(warm.correlations_pct, serial.correlations_pct)
+        assert np.array_equal(warm.n_events, serial.n_events)
+
+
 class TestRunWorker:
     def run_and_collect(self, tmp_path, spec, dataset, **kwargs):
         stats = run_worker(
@@ -686,3 +723,123 @@ class TestWakeOnSubmit:
         assert not thread.is_alive()
         assert exit_s < self.WAKE_S
         assert out["stats"].claimed == 0
+
+
+class RecordingBeats:
+    """A fake heartbeat backend: logs each beat's start and end."""
+
+    def __init__(self, delay_s=0.0, applied=True):
+        self.delay_s = delay_s
+        self.applied = applied
+        self.log = []
+        self.threads = set()
+        self.closed = False
+        self.beating = threading.Event()
+        self._lock = threading.Lock()
+
+    def record(self, *event):
+        with self._lock:
+            self.log.append(event)
+
+    def heartbeat(self, job, now=None):
+        self.threads.add(threading.get_ident())
+        self.record("begin", job.fingerprint)
+        self.beating.set()
+        time.sleep(self.delay_s)
+        self.record("end", job.fingerprint)
+        return self.applied
+
+    def close(self):
+        self.closed = True
+
+    def after_stop(self, fingerprint):
+        """Log events for ``fingerprint`` that follow its first stop."""
+        stopped = self.log.index(("stopped", fingerprint))
+        return [e for e in self.log[stopped:] if e[1] == fingerprint][1:]
+
+
+def _job(fingerprint):
+    return Job(
+        spec_key="k", fingerprint=fingerprint, spec={}, payload={},
+        attempt=1, max_attempts=3, lease_s=10.0, worker_id="w",
+    )
+
+
+class TestSingleHeartbeatThread:
+    def test_stop_waits_out_an_in_flight_beat(self):
+        beats = RecordingBeats(delay_s=0.05)
+        heartbeat = queue_mod._Heartbeat(beats, 0.001)
+        try:
+            for fingerprint in ("a", "b"):
+                beats.beating.clear()
+                heartbeat.start(_job(fingerprint))
+                assert beats.beating.wait(5.0)
+                heartbeat.stop()  # a beat is in flight for ~50 ms
+                beats.record("stopped", fingerprint)
+                time.sleep(0.02)
+                assert beats.after_stop(fingerprint) == []
+                assert beats.log[-2] == ("end", fingerprint)
+        finally:
+            heartbeat.close()
+        assert len(beats.threads) == 1
+        assert beats.closed
+
+    def test_a_lost_lease_sets_lost_and_stops_beating(self):
+        beats = RecordingBeats(applied=False)
+        heartbeat = queue_mod._Heartbeat(beats, 0.005)
+        try:
+            heartbeat.start(_job("a"))
+            deadline = time.monotonic() + 5.0
+            while not heartbeat.lost:
+                assert time.monotonic() < deadline, "lease loss never seen"
+                time.sleep(0.005)
+            time.sleep(0.05)
+            assert beats.log == [("begin", "a"), ("end", "a")]
+            beats.applied = True
+            heartbeat.start(_job("b"))  # the next job beats afresh
+            assert not heartbeat.lost
+            assert beats.beating.wait(5.0)
+        finally:
+            heartbeat.close()
+
+    def test_a_worker_runs_every_job_on_one_heartbeat_thread(
+        self, tmp_path, monkeypatch
+    ):
+        beats = RecordingBeats(delay_s=0.002)
+        created = []
+        real_heartbeat = queue_mod._Heartbeat
+
+        class CountingHeartbeat(real_heartbeat):
+            def __init__(self, *args):
+                created.append(self)
+                super().__init__(*args)
+
+            def stop(self):
+                job = self._job
+                super().stop()
+                if job is not None:
+                    beats.record("stopped", job.fingerprint)
+
+        def slow_execute(job, store):
+            time.sleep(0.03)  # long enough for several beats
+            return 0
+
+        monkeypatch.setattr(queue_mod, "_Heartbeat", CountingHeartbeat)
+        monkeypatch.setattr(queue_mod, "execute_job", slow_execute)
+        monkeypatch.setattr(
+            queue_mod.SqliteBackend, "spawn", lambda self: beats
+        )
+        n = 6
+        with ExperimentQueue(tmp_path / "q.db") as queue:
+            submit_n(queue, n, now=None)
+        stats = run_worker(
+            tmp_path / "q.db", tmp_path / "store",
+            lease_s=60.0, heartbeat_s=0.003,
+        )
+        assert stats.completed == n
+        assert len(created) == 1
+        assert len(beats.threads) == 1
+        assert beats.closed
+        for i in range(n):
+            assert ("begin", f"fp{i}") in beats.log
+            assert beats.after_stop(f"fp{i}") == []

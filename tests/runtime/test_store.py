@@ -105,6 +105,20 @@ class TestResultStore:
         assert np.array_equal(warm["events"], cold["events"])
 
 
+    def test_get_many_is_one_get_per_entry(self, store):
+        for i in (0, 2, 3):
+            store.put("k", f"f{i}", {"x": np.arange(float(i + 1))})
+        store.path_for("k", "f3").write_bytes(b"damaged")
+        got = store.get_many("k", [f"f{i}" for i in range(4)])
+        assert [g is None for g in got] == [False, True, False, True]
+        assert np.array_equal(got[2]["x"], np.arange(3.0))
+        assert store.stats() == {
+            "hits": 2, "misses": 2, "stores": 3, "corrupt": 1,
+        }
+        assert not store.path_for("k", "f3").exists()  # only it healed
+        assert store.get_many("k", []) == []
+
+
 class TestThreadSafety:
     def test_concurrent_counters_exact(self, store):
         """N threads hammering get/put never lose a counter increment.

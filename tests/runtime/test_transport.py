@@ -324,3 +324,144 @@ class TestRemoteStore:
             assert np.array_equal(entry["x"], np.arange(4.0))
         finally:
             remote.close()
+
+
+class TestRemoteStoreGetMany:
+    """The batched read: one ``store_get`` round trip for many entries."""
+
+    FINGERPRINTS = [f"f{i}" for i in range(6)]
+
+    @staticmethod
+    def _fill(store, fingerprints):
+        for i, fingerprint in enumerate(fingerprints):
+            store.put("k", fingerprint, {"x": np.arange(float(i + 1))})
+
+    def test_matches_per_key_get_in_results_and_counters(self, dispatcher):
+        batched = RemoteStore(dispatcher.address)
+        single = RemoteStore(dispatcher.address)
+        try:
+            self._fill(batched, self.FINGERPRINTS[::2])
+            got = batched.get_many("k", self.FINGERPRINTS)
+            want = [single.get("k", f) for f in self.FINGERPRINTS]
+            assert [g is None for g in got] == [w is None for w in want]
+            assert [g is None for g in got] == [False, True] * 3
+            for g, w in zip(got, want):
+                if w is not None:
+                    assert np.array_equal(g["x"], w["x"])
+            counters = batched.stats()
+            assert counters.pop("stores") == 3
+            assert counters == {
+                k: v for k, v in single.stats().items() if k != "stores"
+            }
+            assert batched._channel._op_counts["store_get"] == 1
+            assert batched.get_many("k", []) == []
+            assert batched._channel._op_counts["store_get"] == 1
+        finally:
+            batched.close()
+            single.close()
+
+    def test_a_corrupt_download_in_a_batch_misses_only_that_entry(
+        self, dispatcher, monkeypatch
+    ):
+        store = RemoteStore(dispatcher.address)
+        try:
+            self._fill(store, self.FINGERPRINTS[:3])
+            reply = store._channel.rpc(
+                "store_get", spec_key="k", fingerprints=self.FINGERPRINTS[:3]
+            )
+            reply["payloads"][1]["checksum"] = "not-the-hash"
+            monkeypatch.setattr(store._channel, "rpc", lambda op, **kw: reply)
+            got = store.get_many("k", self.FINGERPRINTS[:3])
+            assert got[1] is None
+            assert np.array_equal(got[0]["x"], np.arange(1.0))
+            assert np.array_equal(got[2]["x"], np.arange(3.0))
+            assert store.stats() == {
+                "hits": 2, "misses": 1, "stores": 3, "corrupt": 1,
+            }
+        finally:
+            store.close()
+
+    def test_a_damaged_entry_on_disk_is_quarantined_alone(self, dispatcher):
+        store = RemoteStore(dispatcher.address)
+        try:
+            self._fill(store, self.FINGERPRINTS[:3])
+            disk = dispatcher.server.store
+            damaged = disk.path_for("k", self.FINGERPRINTS[1])
+            damaged.write_bytes(b"not an npz archive")
+            got = store.get_many("k", self.FINGERPRINTS[:3])
+            assert [g is None for g in got] == [False, True, False]
+            assert disk.corrupt == 1
+            assert not damaged.exists()
+            assert disk.path_for("k", self.FINGERPRINTS[0]).exists()
+            assert disk.path_for("k", self.FINGERPRINTS[2]).exists()
+        finally:
+            store.close()
+
+    def test_a_batch_past_the_frame_cap_arrives_over_several_replies(
+        self, dispatcher
+    ):
+        # Three ~7 MiB blobs (base64 of 5 MiB each): two fit one frame.
+        blobs = {
+            f: np.full(5 * 1024 * 1024, i, dtype=np.uint8)
+            for i, f in enumerate(self.FINGERPRINTS[:3])
+        }
+        store = RemoteStore(dispatcher.address)
+        try:
+            for fingerprint, blob in blobs.items():
+                store.put("k", fingerprint, {"blob": blob})
+            got = store.get_many("k", list(blobs))
+            for entry, blob in zip(got, blobs.values()):
+                assert np.array_equal(entry["blob"], blob)
+            assert store._channel._op_counts["store_get"] == 2
+            assert store.stats()["hits"] == 3
+        finally:
+            store.close()
+
+    def test_a_long_read_is_split_into_several_requests(
+        self, dispatcher, monkeypatch
+    ):
+        import repro.runtime.transport as transport_mod
+
+        monkeypatch.setattr(transport_mod, "_GET_BATCH", 4)
+        store = RemoteStore(dispatcher.address)
+        try:
+            self._fill(store, self.FINGERPRINTS)
+            got = store.get_many("k", self.FINGERPRINTS)
+            assert [len(entry["x"]) for entry in got] == [1, 2, 3, 4, 5, 6]
+            assert store._channel._op_counts["store_get"] == 2
+        finally:
+            store.close()
+
+    def test_a_batch_must_be_a_list(self, dispatcher):
+        store = RemoteStore(dispatcher.address)
+        try:
+            with pytest.raises(TypeError, match="list"):
+                store._channel.rpc(
+                    "store_get", spec_key="k", fingerprints="f0"
+                )
+        finally:
+            store.close()
+
+    def test_a_warm_dataset_sweep_sends_one_store_get(self, dispatcher):
+        from repro.api import Experiment, ExperimentSpec
+        from repro.signals.dataset import DatasetSpec
+
+        spec = ExperimentSpec.for_scheme("datc")
+        dataset = DatasetSpec(n_patterns=32, duration_s=1.0, seed=2015)
+        store = RemoteStore(dispatcher.address)
+        try:
+            Experiment(spec, store=store).dataset_sweep(dataset)  # cold
+            before = dict(store._channel._op_counts)
+            warm = Experiment(spec, store=store).dataset_sweep(dataset)
+            sent = {
+                op: n - before.get(op, 0)
+                for op, n in store._channel._op_counts.items()
+                if n != before.get(op, 0)
+            }
+            assert sent == {"store_get": 1}
+            assert store.stats()["hits"] == 32
+        finally:
+            store.close()
+        serial = Experiment(spec).dataset_sweep(dataset)
+        assert np.array_equal(warm.correlations_pct, serial.correlations_pct)
+        assert np.array_equal(warm.n_events, serial.n_events)
